@@ -5,6 +5,9 @@
 //
 //	benchrunner -experiment E3
 //	benchrunner            # all experiments (a few minutes)
+//
+// Serving, editing, storage and cluster performance are measured by the
+// repository's one benchmark, bash bench/run.sh --workload …, not here.
 package main
 
 import (
@@ -32,25 +35,9 @@ import (
 
 func main() {
 	which := flag.String("experiment", "", "run only this experiment (F1, E1..E14, E17); empty = all")
-	benchJSON := flag.String("bench-json", "", "measure the fixed E1-E7 micro suite and merge ns/op into this JSON file (see BENCH_pr3.json), then exit")
-	benchLabel := flag.String("bench-label", "after", "label for the -bench-json run (e.g. before, after)")
-	planBench := flag.String("plan-bench", "", "measure the E17 planner suite (planner-off vs planner-on) and write this JSON file (see BENCH_pr4.json), then exit")
-	serveBench := flag.String("serve-bench", "", "measure the E18/E19 spannerd load suite (req/s, p50/p99 per request kind) and write this JSON file (see BENCH_pr6.json), then exit")
-	editBench := flag.String("edit-bench", "", "measure the E21 incremental-view suite (edit→requery vs cold re-eval, plus mixed spannerd load) and write this JSON file (see BENCH_pr8.json), then exit")
-	storeBench := flag.String("store-bench", "", "measure the E22 persistence suite (WAL append overhead per fsync policy, cold-start recovery) and write this JSON file (see BENCH_pr9.json), then exit")
-	clusterBench := flag.String("cluster-bench", "", "measure the E23 cluster scaling suite (direct worker vs coordinator over 1/2/4 worker processes) and write this JSON file (see BENCH_pr10.json), then exit")
-	clusterWorker := flag.Bool("cluster-worker", false, "internal: run as a -cluster-bench worker process (in-memory spannerd on an ephemeral port, address printed to stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
-
-	if *clusterWorker {
-		if err := runClusterWorker(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -78,49 +65,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchrunner: -memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchLabel); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *planBench != "" {
-		if err := runPlanBench(*planBench); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveBench != "" {
-		if err := runServeBench(*serveBench); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *editBench != "" {
-		if err := runEditBench(*editBench); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterBench != "" {
-		if err := runClusterBench(*clusterBench); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *storeBench != "" {
-		if err := runStoreBench(*storeBench); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	experiments := []struct {
@@ -675,4 +619,50 @@ func runE14() {
 	fmt.Println("expected: identical relations in every variant; with k cores the parallel")
 	fmt.Println("variants approach 1/k of serial; with GOMAXPROCS=1 they expose only the")
 	fmt.Println("pool and per-shard preprocessing overhead")
+}
+
+// E17 measures each query twice on the same document — once with the
+// planner disabled (DisableRewrites + NaiveBackend, the classical
+// bottom-up evaluation) and once with the full rewrite pipeline and
+// automatic backend selection. The suite is deliberately join- and
+// selection-heavy: those are the shapes where the rewrites change the
+// asymptotics rather than the constants.
+func runE17() {
+	header("E17", "query planner: rewrites + backend selection vs naive bottom-up evaluation")
+	planQ := func(pattern string) *docspanner.Query {
+		return docspanner.MustQ(docspanner.MustCompile(pattern, docspanner.Options{Alphabet: []byte("ab")}))
+	}
+	eval := func(q *docspanner.Query, doc []byte) { q.Eval(doc) }
+	suite := []struct {
+		id    string
+		query *docspanner.Query
+		doc   []byte
+		op    func(q *docspanner.Query, doc []byte)
+	}{
+		// Duplicate union branches: SP008 dedup collapses the union to one
+		// branch, which runs constant-delay instead of two naive scans.
+		{"E17/dedup-union/n=2^10", planQ(".*!x{a+}.*").Union(planQ(".*!x{aa*}.*")), randomDoc(1<<10, 41), eval},
+		// Provably empty join (x must be "ab" and "ba" at the same span):
+		// the SP003 lint prune rewrites the whole plan to ∅.
+		{"E17/dead-join/n=2^10", planQ(".*!x{ab}.*").Join(planQ(".*!x{ba}.*")), randomDoc(1<<10, 42), eval},
+		// Projection pushdown drops j below the join, which then fuses to
+		// one scan instead of building the {x, j} × {x} intermediate.
+		{"E17/proj-pushdown-join/n=2^9", planQ(".*!x{ab}.*!j{a}.*").Join(planQ(".*!x{ab}.*")).Project("x"), randomDoc(1<<9, 43), eval},
+		// The selection survives every rewrite, but its input scan switches
+		// from the naive automaton search to constant-delay enumeration.
+		{"E17/selection-scan/n=2^9", planQ(".*b!x{a+}b.*b!y{a+}b.*").SelectEqual("x", "y"), randomDoc(1<<9, 44), eval},
+		// Planner-on counts a fused union without materializing anything.
+		{"E17/count-fused-union/n=2^10", planQ(".*!x{ab}.*").Union(planQ("a*!x{ba}(a|b)*")), randomDoc(1<<10, 45),
+			func(q *docspanner.Query, doc []byte) { q.Count(doc) }},
+	}
+	fmt.Printf("%-28s %14s %14s %9s\n", "query", "planner-off", "planner-on", "speedup")
+	for _, it := range suite {
+		off := it.query.WithPlan(docspanner.PlanOptions{DisableRewrites: true, NaiveBackend: true})
+		on := it.query.WithPlan(docspanner.PlanOptions{})
+		offNs := float64(timeIt(func() { it.op(off, it.doc) }).Nanoseconds())
+		onNs := float64(timeIt(func() { it.op(on, it.doc) }).Nanoseconds())
+		fmt.Printf("%-28s %12.0fns %12.0fns %8.1fx\n", it.id, offNs, onNs, offNs/onNs)
+	}
+	fmt.Println("expected: every row ≥ 1x; the join-heavy rows (dead-join, proj-pushdown)")
+	fmt.Println("change asymptotics and should exceed 2x by a wide margin")
 }

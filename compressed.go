@@ -226,43 +226,32 @@ func (ix *Index) ExactCount(d *Document) *big.Int {
 	return ct.Count(d.Node())
 }
 
-// EvalCompressed evaluates the query directly on an SLP-compressed
-// document: fused regular subplans run the compressed matcher on the
-// grammar (never decompressing), and only operators that genuinely need
-// the text — string-equality selections, refl scans — trigger one lazy,
-// shared decompression.
-func (q *Query) EvalCompressed(d *Document) *Relation {
-	return q.plan().EvalSLP(d.Node())
-}
+// EvalCompressed materializes the query result on an SLP-compressed
+// document (see Compressed for what decompresses and what does not).
+func (q *Query) EvalCompressed(d *Document) *Relation { return q.plan().Eval(Compressed(d, nil)) }
 
-// EnumerateCompressed streams the query's tuples on an SLP-compressed
-// document; return false from f to stop early.
+// EnumerateCompressed is EnumerateSource on an SLP-compressed document,
+// without cancellation.
 func (q *Query) EnumerateCompressed(d *Document, f func(Tuple) bool) {
-	q.plan().EnumerateSLP(d.Node(), f)
+	q.plan().Enumerate(Compressed(d, nil), f)
 }
 
 // CountCompressed counts the query's result tuples on an SLP-compressed
 // document.
 func (q *Query) CountCompressed(d *Document) int {
-	return q.plan().CountSLP(d.Node())
+	n, _ := q.plan().CountPoll(Compressed(d, nil), nil)
+	return n
 }
 
-// EnumerateCompressedContext is EnumerateCompressed with cancellation,
-// under the same per-tuple contract as EnumerateContext.
+// EnumerateCompressedContext is EnumerateSource on an SLP-compressed
+// document.
 func (q *Query) EnumerateCompressedContext(ctx context.Context, d *Document, f func(Tuple) bool) error {
-	return enumerateWithContext(ctx, f, func(g func(Tuple) bool) {
-		q.plan().EnumerateSLP(d.Node(), g)
-	})
+	return q.EnumerateSource(ctx, Compressed(d, nil), f)
 }
 
-// CountCompressedContext is CountCompressed with cancellation; on
-// cancellation the partial count so far is returned alongside the
-// context's error. Single-scan plans count through the compressed
-// index's tuple-free walk, polling the context per counted tuple.
+// CountCompressedContext is CountSource on an SLP-compressed document.
 func (q *Query) CountCompressedContext(ctx context.Context, d *Document) (int, error) {
-	return countWithContext(ctx, func(poll func() bool) (int, bool) {
-		return q.plan().CountSLPPoll(d.Node(), poll)
-	})
+	return q.CountSource(ctx, Compressed(d, nil))
 }
 
 // Index builds a compressed-evaluation index for the query, available

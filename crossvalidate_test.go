@@ -1,6 +1,7 @@
 package docspanner
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -287,17 +288,24 @@ func TestCrossValidatePlanner(t *testing.T) {
 					t.Fatalf("expr %s doc %q schemaless=%v (refl-rewrite):\n planner %v\n naive %v\nplan:\n%s",
 						algebra.String(expr), doc, schemaless, got, want, withRefl.Explain())
 				}
-				if got := planned.Count(doc); got != want.Len() {
-					t.Fatalf("expr %s doc %q schemaless=%v: Count %d, want %d",
-						algebra.String(expr), doc, schemaless, got, want.Len())
+				docs := []*Document{DocumentFromBytes(doc), CompressDocument(doc)}
+				// Count and Enumerate go through the one Source entry point
+				// for every way the document can be given.
+				for _, src := range []Source{Text(doc), Compressed(docs[0], nil), Compressed(docs[1], nil)} {
+					if got, err := planned.CountSource(context.Background(), src); err != nil || got != want.Len() {
+						t.Fatalf("expr %s doc %q schemaless=%v: Count %d (err %v), want %d",
+							algebra.String(expr), doc, schemaless, got, err, want.Len())
+					}
+					streamed := NewRelation()
+					if err := planned.EnumerateSource(context.Background(), src, func(tu Tuple) bool { streamed.Add(tu); return true }); err != nil {
+						t.Fatal(err)
+					}
+					if !streamed.Equal(want) {
+						t.Fatalf("expr %s doc %q schemaless=%v: Enumerate %v, want %v",
+							algebra.String(expr), doc, schemaless, streamed, want)
+					}
 				}
-				streamed := NewRelation()
-				planned.Enumerate(doc, func(tu Tuple) bool { streamed.Add(tu); return true })
-				if !streamed.Equal(want) {
-					t.Fatalf("expr %s doc %q schemaless=%v: Enumerate %v, want %v",
-						algebra.String(expr), doc, schemaless, streamed, want)
-				}
-				for _, d := range []*Document{DocumentFromBytes(doc), CompressDocument(doc)} {
+				for _, d := range docs {
 					if got := planned.EvalCompressed(d); !got.Equal(want) {
 						t.Fatalf("expr %s doc %q schemaless=%v: compressed backend %v, want %v\nplan:\n%s",
 							algebra.String(expr), doc, schemaless, got, want, planned.Explain())

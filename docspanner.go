@@ -188,7 +188,7 @@ func (s *Spanner) plan() *plan.Planned {
 
 // Eval materializes the full span relation on doc.
 func (s *Spanner) Eval(doc []byte) *Relation {
-	return s.plan().Eval(doc)
+	return s.plan().Eval(Text(doc))
 }
 
 // Explain renders the spanner's execution plan — the logical shape, the
@@ -203,12 +203,13 @@ func (s *Spanner) Explain() string { return s.plan().Explain() }
 // constant-delay walk, and refl-spanners abort the configuration search
 // instead of materializing the full relation first.
 func (s *Spanner) Enumerate(doc []byte, f func(Tuple) bool) {
-	s.plan().Enumerate(doc, f)
+	s.plan().Enumerate(Text(doc), f)
 }
 
 // Count returns the number of result tuples on doc.
 func (s *Spanner) Count(doc []byte) int {
-	return s.plan().Count(doc)
+	n, _ := s.plan().CountPoll(Text(doc), nil)
+	return n
 }
 
 // ModelCheck decides t ∈ S(doc) — linear in |doc| for both regular and

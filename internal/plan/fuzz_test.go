@@ -135,13 +135,14 @@ func FuzzPlanRewrite(f *testing.F) {
 				{Schemaless: schemaless, ReflRewrite: true, NoCache: true},
 			} {
 				pl := New(expr, opts)
-				if got := pl.Eval(doc); !got.Equal(want) {
-					t.Fatalf("expr %s doc %q schemaless=%v refl=%v:\n got %v\nwant %v\nplan:\n%s",
-						algebra.String(expr), doc, schemaless, opts.ReflRewrite, got, want, pl.Explain())
-				}
-				if got := pl.EvalSLP(slp.FromBytes(doc)); !got.Equal(want) {
-					t.Fatalf("expr %s doc %q schemaless=%v refl=%v (SLP):\n got %v\nwant %v\nplan:\n%s",
-						algebra.String(expr), doc, schemaless, opts.ReflRewrite, got, want, pl.Explain())
+				for _, in := range []struct {
+					kind string
+					src  Source
+				}{{"text", Text(doc)}, {"SLP", SLP(slp.FromBytes(doc), nil)}} {
+					if got := pl.Eval(in.src); !got.Equal(want) {
+						t.Fatalf("expr %s doc %q schemaless=%v refl=%v (%s):\n got %v\nwant %v\nplan:\n%s",
+							algebra.String(expr), doc, schemaless, opts.ReflRewrite, in.kind, got, want, pl.Explain())
+					}
 				}
 			}
 		}

@@ -13,11 +13,50 @@ import (
 	"docspanner/internal/vset"
 )
 
-// physNode is a physical operator. Each node can evaluate against a
-// plain document or against an SLP-compressed one; bytes() lazily
-// decompresses the SLP and is only invoked by operators that genuinely
-// need the raw text (string-equality selections, external spanners,
-// naive scans).
+// Source is a document as evaluation receives it: plain bytes, or the
+// root of an SLP together with a provider of its text. It is the only
+// thing evaluation takes — Section 4 of the survey changes how D is
+// given, not what ⟦S⟧(D) is — and the scan operator picks its engine
+// (enum over bytes, slpmatch over the grammar) from the source it is
+// handed. A Source is a small value; copies share the text provider.
+type Source struct {
+	plain []byte
+	root  *slp.Node
+	// text is non-nil exactly for SLP sources. Only operators that
+	// genuinely need the raw text call it (string-equality selections,
+	// external spanners, naive scans).
+	text func() []byte
+}
+
+// Text is the source of a plain document.
+func Text(doc []byte) Source { return Source{plain: doc} }
+
+// SLP is the source of an SLP-compressed document. text supplies the
+// decompressed document and must be safe to call repeatedly (callers
+// holding a cached copy pass it here); nil decompresses root at most
+// once, on first use.
+func SLP(root *slp.Node, text func() []byte) Source {
+	if text == nil {
+		var once sync.Once
+		var b []byte
+		text = func() []byte {
+			once.Do(func() { b = root.Bytes() })
+			return b
+		}
+	}
+	return Source{root: root, text: text}
+}
+
+// Bytes returns the document text, decompressing an SLP source through
+// its provider.
+func (s Source) Bytes() []byte {
+	if s.text != nil {
+		return s.text()
+	}
+	return s.plain
+}
+
+// physNode is a physical operator, evaluated against a Source.
 type physNode interface {
 	lp() *algebra.Plan
 	children() []physNode
@@ -25,10 +64,8 @@ type physNode interface {
 	// streaming reports whether each() yields tuples incrementally
 	// (constant or polynomial delay) rather than materializing first.
 	streaming() bool
-	eval(doc []byte) *spans.Relation
-	each(doc []byte, f func(spans.Tuple) bool) bool
-	evalSLP(root *slp.Node, bytes func() []byte) *spans.Relation
-	eachSLP(root *slp.Node, bytes func() []byte, f func(spans.Tuple) bool) bool
+	eval(src Source) *spans.Relation
+	each(src Source, f func(spans.Tuple) bool) bool
 }
 
 // buildPhys selects a backend per logical node: scans become
@@ -50,7 +87,16 @@ func buildPhys(p *algebra.Plan, opts Options) physNode {
 		for i, c := range p.Children {
 			kids[i] = buildPhys(c, opts)
 		}
-		return &matPhys{plan: p, kids: kids, sem: opts.sem()}
+		return &matPhys{plan: p, kids: kids}
+	}
+}
+
+// stopAware adapts a yield to the engines' callbacks, recording in
+// *stopped whether f ended the enumeration early.
+func stopAware(f func(spans.Tuple) bool, stopped *bool) func(spans.Tuple) bool {
+	return func(t spans.Tuple) bool {
+		*stopped = !f(t)
+		return !*stopped
 	}
 }
 
@@ -79,60 +125,39 @@ func (s *scanPhys) sem() vset.Semantics {
 	return vset.Schemaless
 }
 
-func (s *scanPhys) eval(doc []byte) *spans.Relation {
+func (s *scanPhys) eval(src Source) *spans.Relation {
 	if s.naive {
-		return vset.Eval(s.plan.Auto, doc, s.sem())
+		return vset.Eval(s.plan.Auto, src.Bytes(), s.sem())
 	}
 	out := spans.NewRelation()
-	s.each(doc, func(t spans.Tuple) bool { out.Add(t); return true })
+	s.each(src, func(t spans.Tuple) bool { out.Add(t); return true })
 	return out
 }
 
-func (s *scanPhys) each(doc []byte, f func(spans.Tuple) bool) bool {
+func (s *scanPhys) each(src Source, f func(spans.Tuple) bool) bool {
 	if s.naive {
-		return eachOf(s.eval(doc), f)
+		return eachOf(s.eval(src), f)
 	}
-	e := enum.NewEnumerator(automata.DeterminizeCached(s.plan.Auto), doc)
-	ok := true
-	wrapped := func(t spans.Tuple) bool {
-		if !f(t) {
-			ok = false
-			return false
-		}
-		return true
+	d := automata.DeterminizeCached(s.plan.Auto)
+	stopped := false
+	if src.text != nil {
+		slpmatch.NewIndex(d).Each(src.root, func(t spans.Tuple) bool {
+			if s.functional && !t.TotalOn(s.plan.Auto.Vars) {
+				return true
+			}
+			stopped = !f(t)
+			return !stopped
+		})
+		return !stopped
 	}
+	e := enum.NewEnumerator(d, src.plain)
 	if s.functional {
-		e.EachTotal(s.plan.Auto.Vars, wrapped)
+		e.EachTotal(s.plan.Auto.Vars, stopAware(f, &stopped))
 	} else {
-		e.Each(wrapped)
+		e.Each(stopAware(f, &stopped))
 	}
 	e.Release()
-	return ok
-}
-
-func (s *scanPhys) evalSLP(root *slp.Node, bytes func() []byte) *spans.Relation {
-	out := spans.NewRelation()
-	s.eachSLP(root, bytes, func(t spans.Tuple) bool { out.Add(t); return true })
-	return out
-}
-
-func (s *scanPhys) eachSLP(root *slp.Node, bytes func() []byte, f func(spans.Tuple) bool) bool {
-	if s.naive {
-		return eachOf(vset.Eval(s.plan.Auto, bytes(), s.sem()), f)
-	}
-	ix := slpmatch.NewIndex(automata.DeterminizeCached(s.plan.Auto))
-	ok := true
-	ix.Each(root, func(t spans.Tuple) bool {
-		if s.functional && !t.TotalOn(s.plan.Auto.Vars) {
-			return true
-		}
-		if !f(t) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	return !stopped
 }
 
 // extScanPhys calls an external (refl) spanner's own search.
@@ -146,28 +171,14 @@ func (x *extScanPhys) children() []physNode { return nil }
 func (x *extScanPhys) backend() string      { return "refl-search" }
 func (x *extScanPhys) streaming() bool      { return true }
 
-func (x *extScanPhys) eval(doc []byte) *spans.Relation {
-	return x.plan.Ext.Eval(doc, x.functional)
+func (x *extScanPhys) eval(src Source) *spans.Relation {
+	return x.plan.Ext.Eval(src.Bytes(), x.functional)
 }
 
-func (x *extScanPhys) each(doc []byte, f func(spans.Tuple) bool) bool {
-	ok := true
-	x.plan.Ext.Enumerate(doc, x.functional, func(t spans.Tuple) bool {
-		if !f(t) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-func (x *extScanPhys) evalSLP(root *slp.Node, bytes func() []byte) *spans.Relation {
-	return x.eval(bytes())
-}
-
-func (x *extScanPhys) eachSLP(root *slp.Node, bytes func() []byte, f func(spans.Tuple) bool) bool {
-	return x.each(bytes(), f)
+func (x *extScanPhys) each(src Source, f func(spans.Tuple) bool) bool {
+	stopped := false
+	x.plan.Ext.Enumerate(src.Bytes(), x.functional, stopAware(f, &stopped))
+	return !stopped
 }
 
 // emptyPhys is a pruned subtree.
@@ -180,14 +191,8 @@ func (e *emptyPhys) children() []physNode { return nil }
 func (e *emptyPhys) backend() string      { return "empty" }
 func (e *emptyPhys) streaming() bool      { return true }
 
-func (e *emptyPhys) eval([]byte) *spans.Relation { return spans.NewRelation() }
-func (e *emptyPhys) each([]byte, func(spans.Tuple) bool) bool {
-	return true
-}
-func (e *emptyPhys) evalSLP(*slp.Node, func() []byte) *spans.Relation { return spans.NewRelation() }
-func (e *emptyPhys) eachSLP(*slp.Node, func() []byte, func(spans.Tuple) bool) bool {
-	return true
-}
+func (e *emptyPhys) eval(Source) *spans.Relation              { return spans.NewRelation() }
+func (e *emptyPhys) each(Source, func(spans.Tuple) bool) bool { return true }
 
 // matPhys materializes its children and combines them with the
 // relational operators — the classical bottom-up evaluation, used for
@@ -195,7 +200,6 @@ func (e *emptyPhys) eachSLP(*slp.Node, func() []byte, func(spans.Tuple) bool) bo
 type matPhys struct {
 	plan *algebra.Plan
 	kids []physNode
-	sem  vset.Semantics
 }
 
 func (m *matPhys) lp() *algebra.Plan    { return m.plan }
@@ -203,49 +207,32 @@ func (m *matPhys) children() []physNode { return m.kids }
 func (m *matPhys) backend() string      { return "materialize" }
 func (m *matPhys) streaming() bool      { return false }
 
-func (m *matPhys) eval(doc []byte) *spans.Relation {
-	return m.combine(doc, func(k physNode) *spans.Relation { return k.eval(doc) })
+func (m *matPhys) each(src Source, f func(spans.Tuple) bool) bool {
+	return eachOf(m.eval(src), f)
 }
 
-func (m *matPhys) each(doc []byte, f func(spans.Tuple) bool) bool {
-	return eachOf(m.eval(doc), f)
-}
-
-func (m *matPhys) evalSLP(root *slp.Node, bytes func() []byte) *spans.Relation {
-	// bytes is only invoked by the PSelect case: a selection compares
-	// substrings of the document, so it is the one interior operator
-	// that forces (lazy, shared) decompression.
-	return m.combineLazy(bytes, func(k physNode) *spans.Relation { return k.evalSLP(root, bytes) })
-}
-
-func (m *matPhys) eachSLP(root *slp.Node, bytes func() []byte, f func(spans.Tuple) bool) bool {
-	return eachOf(m.evalSLP(root, bytes), f)
-}
-
-func (m *matPhys) combine(doc []byte, ev func(physNode) *spans.Relation) *spans.Relation {
-	return m.combineLazy(func() []byte { return doc }, ev)
-}
-
-func (m *matPhys) combineLazy(doc func() []byte, ev func(physNode) *spans.Relation) *spans.Relation {
+func (m *matPhys) eval(src Source) *spans.Relation {
 	switch m.plan.Kind {
 	case algebra.PUnion:
-		out := ev(m.kids[0])
+		out := m.kids[0].eval(src)
 		for _, k := range m.kids[1:] {
-			out = out.Union(ev(k))
+			out = out.Union(k.eval(src))
 		}
 		return out
 	case algebra.PJoin:
-		out := ev(m.kids[0])
+		out := m.kids[0].eval(src)
 		for _, k := range m.kids[1:] {
-			out = out.Join(ev(k))
+			out = out.Join(k.eval(src))
 		}
 		return out
 	case algebra.PProject:
-		return ev(m.kids[0]).Project(m.plan.Keep)
+		return m.kids[0].eval(src).Project(m.plan.Keep)
 	case algebra.PSelect:
-		return ev(m.kids[0]).SelectEqual(doc(), m.plan.Z)
+		// A selection compares substrings of the document, so it is the
+		// one interior operator that asks an SLP source for its text.
+		return m.kids[0].eval(src).SelectEqual(src.Bytes(), m.plan.Z)
 	case algebra.PFuse:
-		return ev(m.kids[0]).Fuse(m.plan.Lambda, m.plan.Target)
+		return m.kids[0].eval(src).Fuse(m.plan.Lambda, m.plan.Target)
 	}
 	panic("plan: materializing backend: unexpected kind " + m.plan.Kind.String())
 }
@@ -257,16 +244,6 @@ func eachOf(r *spans.Relation, f func(spans.Tuple) bool) bool {
 		}
 	}
 	return true
-}
-
-// lazyBytes decompresses an SLP at most once, on first use.
-func lazyBytes(root *slp.Node) func() []byte {
-	var once sync.Once
-	var b []byte
-	return func() []byte {
-		once.Do(func() { b = root.Bytes() })
-		return b
-	}
 }
 
 // Planned is an executable plan: the rewritten logical tree plus the
@@ -320,72 +297,61 @@ func (pl *Planned) DistinctEnumeration() bool {
 	return !refl
 }
 
-// Eval materializes the plan's relation on doc.
-func (pl *Planned) Eval(doc []byte) *spans.Relation {
+// Eval materializes the plan's relation on src.
+func (pl *Planned) Eval(src Source) *spans.Relation {
 	if len(pl.requireTotal) == 0 {
-		return pl.root.eval(doc)
+		return pl.root.eval(src)
 	}
 	out := spans.NewRelation()
-	pl.Enumerate(doc, func(t spans.Tuple) bool { out.Add(t); return true })
+	pl.Enumerate(src, func(t spans.Tuple) bool { out.Add(t); return true })
 	return out
 }
 
-// Enumerate streams the plan's tuples on doc; f returning false stops
-// the enumeration early.
-func (pl *Planned) Enumerate(doc []byte, f func(spans.Tuple) bool) {
-	pl.root.each(doc, pl.filter(f))
-}
-
-// Count returns the number of result tuples on doc.
-func (pl *Planned) Count(doc []byte) int {
-	n, _ := pl.CountPoll(doc, nil)
-	return n
-}
-
-// fastCountVars reports whether the plan counts via the tuple-free
-// counting walks (a single non-naive scan) and, if so, the variable set
-// tuples must be total on: the plan-level totality requirement plus the
-// automaton's variables under functional semantics.
-func (pl *Planned) fastCountVars() (*scanPhys, spans.VarSet, bool) {
-	s, ok := pl.root.(*scanPhys)
-	if !ok || s.naive {
-		return nil, nil, false
+// Enumerate streams the plan's tuples on src; f returning false stops
+// the enumeration early. On an SLP source the raw text is only
+// decompressed if an operator requires it.
+func (pl *Planned) Enumerate(src Source, f func(spans.Tuple) bool) {
+	if rt := pl.requireTotal; len(rt) > 0 {
+		yield := f
+		f = func(t spans.Tuple) bool { return !t.TotalOn(rt) || yield(t) }
 	}
-	vars := pl.requireTotal
-	if s.functional {
-		vars = vars.Union(s.plan.Auto.Vars)
-	}
-	return s, vars, true
+	pl.root.each(src, f)
 }
 
 // CountPoll counts result tuples without materializing them whenever the
-// plan is a single constant-delay scan. Such plans first try the
-// counting DP of internal/enum — output-independent time, no
-// preprocessing tables — and fall back to the mask-accumulating
+// plan is a single constant-delay scan. On a plain source such plans
+// first try the counting DP of internal/enum — output-independent time,
+// no preprocessing tables — and fall back to the mask-accumulating
 // enumeration walk when the DP declines (many required variables, or an
-// int64-overflowing count). poll, if non-nil, is the cancellation hook
-// of the service layer: it runs once per document position on the DP
-// path and once per counted tuple on the walk paths; returning false
-// aborts the count, reporting complete=false with the partial count
-// (zero on the DP path — it counts nothing until it finishes). Other
-// plan shapes fall back to counting the enumeration.
-func (pl *Planned) CountPoll(doc []byte, poll func() bool) (int, bool) {
-	if s, vars, ok := pl.fastCountVars(); ok {
+// int64-overflowing count); on an SLP source they count through the
+// compressed index's tuple-free walk. poll, if non-nil, is the
+// cancellation hook of the service layer: it runs once per document
+// position on the DP path and once per counted tuple on the walk paths;
+// returning false aborts the count, reporting complete=false with the
+// partial count (zero on the DP path — it counts nothing until it
+// finishes). Other plan shapes fall back to counting the enumeration.
+func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
+	if s, ok := pl.root.(*scanPhys); ok && !s.naive {
+		// Tuples must be total on the plan-level requirement plus, under
+		// functional semantics, the automaton's variables.
+		vars := pl.requireTotal
+		if s.functional {
+			vars = vars.Union(s.plan.Auto.Vars)
+		}
 		d := automata.DeterminizeCached(s.plan.Auto)
-		if n, complete, ok := enum.CountTotalFast(d, doc, vars, poll); ok {
+		if src.text != nil {
+			return slpmatch.NewIndex(d).CountTotal(src.root, vars, poll)
+		}
+		if n, complete, ok := enum.CountTotalFast(d, src.plain, vars, poll); ok {
 			return n, complete
 		}
-		e := enum.NewEnumerator(d, doc)
+		e := enum.NewEnumerator(d, src.plain)
 		n, complete := e.CountTotal(vars, poll)
 		e.Release()
 		return n, complete
 	}
-	return pl.countEach(poll, func(f func(spans.Tuple) bool) { pl.Enumerate(doc, f) })
-}
-
-func (pl *Planned) countEach(poll func() bool, run func(func(spans.Tuple) bool)) (int, bool) {
 	n, complete := 0, true
-	run(func(spans.Tuple) bool {
+	pl.Enumerate(src, func(spans.Tuple) bool {
 		n++
 		if poll != nil && !poll() {
 			complete = false
@@ -394,52 +360,6 @@ func (pl *Planned) countEach(poll func() bool, run func(func(spans.Tuple) bool))
 		return true
 	})
 	return n, complete
-}
-
-// EvalSLP evaluates the plan directly on an SLP-compressed document;
-// the raw text is only decompressed if an operator requires it.
-func (pl *Planned) EvalSLP(root *slp.Node) *spans.Relation {
-	if len(pl.requireTotal) == 0 {
-		return pl.root.evalSLP(root, lazyBytes(root))
-	}
-	out := spans.NewRelation()
-	pl.EnumerateSLP(root, func(t spans.Tuple) bool { out.Add(t); return true })
-	return out
-}
-
-// EnumerateSLP streams the plan's tuples on an SLP-compressed document.
-func (pl *Planned) EnumerateSLP(root *slp.Node, f func(spans.Tuple) bool) {
-	pl.root.eachSLP(root, lazyBytes(root), pl.filter(f))
-}
-
-// CountSLP counts result tuples on an SLP-compressed document.
-func (pl *Planned) CountSLP(root *slp.Node) int {
-	n, _ := pl.CountSLPPoll(root, nil)
-	return n
-}
-
-// CountSLPPoll is CountPoll over an SLP-compressed document: single
-// constant-delay scans count through the compressed index's tuple-free
-// walk.
-func (pl *Planned) CountSLPPoll(root *slp.Node, poll func() bool) (int, bool) {
-	if s, vars, ok := pl.fastCountVars(); ok {
-		ix := slpmatch.NewIndex(automata.DeterminizeCached(s.plan.Auto))
-		return ix.CountTotal(root, vars, poll)
-	}
-	return pl.countEach(poll, func(f func(spans.Tuple) bool) { pl.EnumerateSLP(root, f) })
-}
-
-func (pl *Planned) filter(f func(spans.Tuple) bool) func(spans.Tuple) bool {
-	if len(pl.requireTotal) == 0 {
-		return f
-	}
-	rt := pl.requireTotal
-	return func(t spans.Tuple) bool {
-		if !t.TotalOn(rt) {
-			return true
-		}
-		return f(t)
-	}
 }
 
 // SingleScan reports whether the whole plan collapsed to one regular

@@ -81,13 +81,6 @@ func (o Options) policy() algebra.FusePolicy {
 	}
 }
 
-func (o Options) sem() vset.Semantics {
-	if o.Schemaless {
-		return vset.Schemaless
-	}
-	return vset.Functional
-}
-
 func (o Options) key() string {
 	return fmt.Sprintf("%t|%t|%t|%t|%d|%d|%d|%v",
 		o.Schemaless, o.DisableRewrites, o.ReflRewrite, o.NaiveBackend,

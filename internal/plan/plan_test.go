@@ -41,7 +41,7 @@ func checkAgainstNaive(t *testing.T, e algebra.Expr, opts Options, docs ...strin
 	pl := New(e, opts)
 	for _, doc := range docs {
 		want := e.Eval([]byte(doc), sem)
-		if got := pl.Eval([]byte(doc)); !got.Equal(want) {
+		if got := pl.Eval(Text([]byte(doc))); !got.Equal(want) {
 			t.Fatalf("doc %q: planned %v, want %v\nplan:\n%s", doc, got, want, pl.Explain())
 		}
 	}
@@ -146,7 +146,7 @@ func TestNaiveBackendSelection(t *testing.T) {
 func TestRequireTotalFiltersRoot(t *testing.T) {
 	e := prim(t, "(!x{a}|b)")
 	pl := New(e, Options{Schemaless: true, RequireTotal: spans.NewVarSet("x"), NoCache: true})
-	got := pl.Eval([]byte("ab"))
+	got := pl.Eval(Text([]byte("ab")))
 	want := vset.Eval(e.(algebra.Prim).A, []byte("ab"), vset.Functional)
 	if !got.Equal(want) {
 		t.Fatalf("root totality filter: got %v, want %v", got, want)
@@ -170,17 +170,17 @@ func TestPlanCacheSharesPlans(t *testing.T) {
 func TestCountAndEnumerate(t *testing.T) {
 	e := algebra.Union{L: prim(t, "!x{a}"), R: prim(t, "!x{b}")}
 	pl := New(e, Options{NoCache: true})
-	if got := pl.Count([]byte("a")); got != 1 {
+	if got, _ := pl.CountPoll(Text([]byte("a")), nil); got != 1 {
 		t.Errorf("Count = %d", got)
 	}
 	// Two matches of a on aa; early termination stops after the first.
 	e2 := prim(t, "a*!x{a}a*")
 	pl2 := New(e2, Options{NoCache: true})
-	if got := pl2.Count([]byte("aa")); got != 2 {
+	if got, _ := pl2.CountPoll(Text([]byte("aa")), nil); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}
 	n := 0
-	pl2.Enumerate([]byte("aa"), func(spans.Tuple) bool { n++; return false })
+	pl2.Enumerate(Text([]byte("aa")), func(spans.Tuple) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early termination delivered %d tuples", n)
 	}

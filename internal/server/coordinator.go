@@ -11,8 +11,6 @@ package server
 // taxonomy instead of dragging the whole fan-out down.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -81,12 +79,12 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // with NewCoordinator and mount it on an http.Server; Close stops the
 // health prober.
 type Coordinator struct {
-	cfg    CoordinatorConfig
-	ring   *cluster.Ring
-	client *cluster.Client
-	prober *cluster.Prober
-	cm     *coordMetrics
-	mux    *http.ServeMux
+	ring    *cluster.Ring
+	client  *cluster.Client
+	prober  *cluster.Prober
+	metrics *metrics
+	cm      coordMetrics
+	mux     *http.ServeMux
 
 	closeOnce sync.Once
 }
@@ -102,7 +100,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:  cfg,
 		ring: ring,
 		client: cluster.NewClient(ring, cluster.ClientConfig{
 			MaxInflight:      cfg.MaxPerWorkerInflight,
@@ -113,10 +110,23 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			BreakerCooldown:  cfg.BreakerCooldown,
 			Transport:        cfg.Transport,
 		}),
-		prober: cluster.NewProber(ring, cfg.ProbeInterval),
-		cm:     newCoordMetrics(),
+		prober:  cluster.NewProber(ring, cfg.ProbeInterval),
+		metrics: newMetrics(),
 	}
-	c.routes()
+	pipe := &pipeline{
+		role:       "coordinator",
+		logger:     cfg.Logger,
+		metrics:    c.metrics,
+		maxBody:    cfg.MaxBodyBytes,
+		timeout:    cfg.RequestTimeout,
+		maxTimeout: cfg.MaxTimeout,
+		timeoutMsg: "cluster fan-out deadline exceeded",
+	}
+	// Every coordinator request is bounded: whatever it fans out runs
+	// under the one ?timeout= deadline.
+	c.mux = pipe.mount(func(rt route) (handlerFunc, bool) {
+		return func(w http.ResponseWriter, r *http.Request) error { return rt.coord(c, w, r) }, true
+	})
 	c.prober.Start()
 	return c, nil
 }
@@ -132,103 +142,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 // Ring exposes the placement ring (tests and cmd wiring).
 func (c *Coordinator) Ring() *cluster.Ring { return c.ring }
 
-func (c *Coordinator) routes() {
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("GET /healthz", c.wrap("healthz", c.handleHealthz))
-	c.mux.HandleFunc("GET /readyz", c.wrap("readyz", c.handleReadyz))
-	c.mux.HandleFunc("GET /metrics", c.wrap("metrics", c.handleMetrics))
-	c.mux.HandleFunc("GET /varz", c.wrap("varz", c.handleVarz))
-	c.mux.HandleFunc("GET /cluster", c.wrap("cluster", c.handleCluster))
-
-	c.mux.HandleFunc("GET /docs", c.wrap("docs.list", c.handleDocListFan))
-	c.mux.HandleFunc("PUT /docs/{name}", c.wrap("docs.put", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}", c.wrap("docs.get", c.proxyDocOwner))
-	c.mux.HandleFunc("DELETE /docs/{name}", c.wrap("docs.delete", c.proxyDocOwner))
-	c.mux.HandleFunc("POST /docs/{name}/compress", c.wrap("docs.compress", c.proxyDocOwner))
-	c.mux.HandleFunc("POST /docs/{name}/edit", c.wrap("docs.edit", c.proxyDocOwner))
-	c.mux.HandleFunc("POST /docs/{name}/warm", c.wrap("docs.warm", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}/views", c.wrap("views.list", c.proxyDocOwner))
-	c.mux.HandleFunc("PUT /docs/{name}/views/{query}", c.wrap("views.put", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}/views/{query}", c.wrap("views.get", c.proxyDocOwner))
-	c.mux.HandleFunc("DELETE /docs/{name}/views/{query}", c.wrap("views.delete", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /docs/{name}/changes", c.wrap("docs.changes", c.proxyDocOwner))
-	c.mux.HandleFunc("GET /views", c.wrap("views.list", c.handleViewListFan))
-
-	c.mux.HandleFunc("GET /queries", c.wrap("queries.list", c.proxyFirstUp))
-	c.mux.HandleFunc("PUT /queries/{name}", c.wrap("queries.put", c.handleQueryPutFan))
-	c.mux.HandleFunc("GET /queries/{name}", c.wrap("queries.get", c.proxyFirstUp))
-	c.mux.HandleFunc("DELETE /queries/{name}", c.wrap("queries.delete", c.handleQueryDeleteFan))
-	c.mux.HandleFunc("GET /queries/{name}/explain", c.wrap("queries.explain", c.proxyFirstUp))
-
-	c.mux.HandleFunc("GET /eval", c.wrap("eval", c.handleEvalProxy))
-	c.mux.HandleFunc("GET /count", c.wrap("count", c.handleCountProxy))
-	c.mux.HandleFunc("GET /stream", c.wrap("stream", c.handleStreamProxy))
-	c.mux.HandleFunc("POST /batch", c.wrap("batch", c.handleBatchScatter))
-
-	c.mux.HandleFunc("POST /admin/flush-caches", c.wrap("admin.flush", c.handleAdminFan("/admin/flush-caches")))
-	c.mux.HandleFunc("POST /admin/snapshot", c.wrap("admin.snapshot", c.handleAdminFan("/admin/snapshot")))
-}
-
-// wrap mirrors Server.wrap for the coordinator: request-id minting and
-// propagation (the inbound header is overwritten with the resolved id,
-// so every worker hop carries it), body bounding, metrics, structured
-// logging, and error rendering.
-func (c *Coordinator) wrap(handler string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		c.cm.inflight.Add(1)
-		defer c.cm.inflight.Add(-1)
-		reqID := requestID(r)
-		w.Header().Set("X-Request-ID", reqID)
-		r.Header.Set("X-Request-ID", reqID)
-		r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-		sw := &statusWriter{ResponseWriter: w}
-		if err := h(sw, r); err != nil {
-			c.renderError(sw, err)
-		}
-		if sw.status == 0 {
-			sw.status = 200
-		}
-		d := time.Since(start)
-		c.cm.request(handler, sw.status, d)
-		c.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("role", "coordinator"),
-			slog.String("handler", handler),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", d),
-			slog.String("request_id", reqID),
-		)
-	}
-}
-
-func (c *Coordinator) renderError(w *statusWriter, err error) {
-	if w.status != 0 {
-		// Headers already sent (mid-merge failure); the in-band trailer
-		// already told the client.
-		return
-	}
-	he := &httpError{status: 500, message: err.Error()}
-	var cast *httpError
-	if errors.As(err, &cast) {
-		he = cast
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		he = &httpError{status: 504, message: "cluster fan-out deadline exceeded"}
-		c.cm.timeouts.Add(1)
-	} else if errors.Is(err, context.Canceled) {
-		he = &httpError{status: 499, message: "request cancelled"}
-	}
-	if he.status == 504 {
-		c.cm.timeouts.Add(1)
-	}
-	if he.retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprint(he.retryAfter))
-	}
-	body := map[string]any{"error": he.message}
-	writeJSON(w, he.status, body)
-}
-
 // clusterErr maps a worker-client error onto the coordinator's HTTP
 // taxonomy: 503 (+Retry-After) for down/breaker-open shards, 504 for a
 // deadline spent inside the fan-out, 499 for the client hanging up,
@@ -242,21 +155,13 @@ func clusterErr(err error) error {
 	return he
 }
 
-// streamDisconnect mirrors Server.streamDisconnect: the merged stream's
-// client went away mid-response; count it and end quietly (headers are
-// long gone).
-func (c *Coordinator) streamDisconnect() error {
-	c.cm.disconnects.Add(1)
-	return nil
-}
-
 // --- observability ---
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	writeJSON(w, 200, map[string]any{
 		"status":     "ok",
 		"role":       "coordinator",
-		"uptime":     time.Since(c.cm.start).String(),
+		"uptime":     time.Since(c.metrics.start).String(),
 		"workers":    c.ring.N(),
 		"workers_up": c.ring.UpCount(),
 	})
@@ -323,17 +228,17 @@ func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) erro
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.cm.writeProm(w, c)
+	c.writeProm(w)
 	return nil
 }
 
 func (c *Coordinator) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 	writeJSON(w, 200, map[string]any{
 		"coordinator": map[string]any{
-			"uptime":             time.Since(c.cm.start).String(),
-			"inflight":           c.cm.inflight.Load(),
-			"timeouts":           c.cm.timeouts.Load(),
-			"disconnects":        c.cm.disconnects.Load(),
+			"uptime":             time.Since(c.metrics.start).String(),
+			"inflight":           c.metrics.inflight.Load(),
+			"timeouts":           c.metrics.timeouts.Load(),
+			"disconnects":        c.metrics.disconnects.Load(),
 			"merged_tuples":      c.cm.mergedTuples.Load(),
 			"shard_errors":       c.cm.shardErrors.Load(),
 			"retries":            c.client.Retries.Load(),
@@ -348,64 +253,21 @@ func (c *Coordinator) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 	return nil
 }
 
-// coordMetrics is the coordinator's observability state: per-handler
-// request counters and latency histograms plus fan-out health counters.
-// Cluster-wide document/query/view gauges come from the prober's cached
-// worker statuses, so a /metrics scrape never fans out.
+// coordMetrics holds the counters only a coordinator has; requests,
+// latencies, inflight, timeouts and disconnects live in the metrics
+// registry both roles share. Cluster-wide document/query/view gauges
+// come from the prober's cached worker statuses, so a /metrics scrape
+// never fans out.
 type coordMetrics struct {
-	start time.Time
-
-	mu         sync.Mutex
-	requests   map[string]*atomic.Uint64 // "handler|code" -> count
-	handlerLat map[string]*histogram
-
-	inflight     atomic.Int64
-	timeouts     atomic.Uint64 // fan-outs cancelled by deadline (504)
-	disconnects  atomic.Uint64 // merged streams aborted by client disconnect
 	mergedTuples atomic.Uint64 // tuple frames relayed through merged streams
 	shardErrors  atomic.Uint64 // per-shard failures inside scatter-gathers
-}
-
-func newCoordMetrics() *coordMetrics {
-	return &coordMetrics{
-		start:      time.Now(),
-		requests:   map[string]*atomic.Uint64{},
-		handlerLat: map[string]*histogram{},
-	}
-}
-
-func (m *coordMetrics) request(handler string, code int, d time.Duration) {
-	key := fmt.Sprintf("%s|%d", handler, code)
-	m.mu.Lock()
-	ctr, ok := m.requests[key]
-	if !ok {
-		ctr = &atomic.Uint64{}
-		m.requests[key] = ctr
-	}
-	h, ok := m.handlerLat[handler]
-	if !ok {
-		h = newHistogram()
-		m.handlerLat[handler] = h
-	}
-	m.mu.Unlock()
-	ctr.Add(1)
-	h.observe(d)
-}
-
-func (m *coordMetrics) get(key string) uint64 {
-	m.mu.Lock()
-	ctr := m.requests[key]
-	m.mu.Unlock()
-	if ctr == nil {
-		return 0
-	}
-	return ctr.Load()
 }
 
 // writeProm renders the coordinator's Prometheus exposition: its own
 // request counters plus the cluster aggregates (worker up/down, probe
 // RTT, summed object counts) from the prober's cache.
-func (m *coordMetrics) writeProm(w io.Writer, c *Coordinator) {
+func (c *Coordinator) writeProm(w io.Writer) {
+	m := c.metrics
 	fmt.Fprintf(w, "# HELP spannerd_coordinator_uptime_seconds Time since the coordinator started.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_coordinator_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "spannerd_coordinator_uptime_seconds %g\n", time.Since(m.start).Seconds())
@@ -486,16 +348,16 @@ func (m *coordMetrics) writeProm(w io.Writer, c *Coordinator) {
 	fmt.Fprintf(w, "spannerd_coordinator_disconnects_total %d\n", m.disconnects.Load())
 	fmt.Fprintf(w, "# HELP spannerd_coordinator_merged_tuples_total Tuple frames relayed through merged multi-document streams.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_coordinator_merged_tuples_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_merged_tuples_total %d\n", m.mergedTuples.Load())
+	fmt.Fprintf(w, "spannerd_coordinator_merged_tuples_total %d\n", c.cm.mergedTuples.Load())
 	fmt.Fprintf(w, "# HELP spannerd_coordinator_shard_errors_total Per-shard failures inside scatter-gathers (partial results).\n")
 	fmt.Fprintf(w, "# TYPE spannerd_coordinator_shard_errors_total counter\n")
-	fmt.Fprintf(w, "spannerd_coordinator_shard_errors_total %d\n", m.shardErrors.Load())
+	fmt.Fprintf(w, "spannerd_coordinator_shard_errors_total %d\n", c.cm.shardErrors.Load())
 
 	fmt.Fprintf(w, "# HELP spannerd_coordinator_requests_total Requests served by the coordinator, by handler and status code.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_coordinator_requests_total counter\n")
 	for _, k := range sortedKeys(&m.mu, m.requests) {
 		h, code, _ := cut(k)
-		fmt.Fprintf(w, "spannerd_coordinator_requests_total{handler=%q,code=%q} %d\n", h, code, m.get(k))
+		fmt.Fprintf(w, "spannerd_coordinator_requests_total{handler=%q,code=%q} %d\n", h, code, m.get(m.requests, k))
 	}
 
 	writeHistograms(w, "spannerd_coordinator_request_duration_seconds",

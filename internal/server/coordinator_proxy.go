@@ -60,14 +60,11 @@ func (c *Coordinator) outgoing(ctx context.Context, method string, worker int, p
 // response verbatim. GETs go through the retrying idempotent path;
 // mutations are sent exactly once.
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, worker int) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-	if err != nil {
-		return err
-	}
-	defer cancel()
+	ctx := r.Context()
 	path := r.URL.EscapedPath()
 	var resp *http.Response
 	var release func()
+	var err error
 	if r.Method == http.MethodGet {
 		resp, release, err = c.client.GetIdempotent(ctx, worker, func(ctx context.Context) (*http.Request, error) {
 			return c.outgoing(ctx, http.MethodGet, worker, path, r.URL.Query(), nil, r)
@@ -107,10 +104,10 @@ func (c *Coordinator) relay(w http.ResponseWriter, resp *http.Response, worker i
 		n, rerr := resp.Body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return c.streamDisconnect()
+				return c.metrics.streamDisconnect(w)
 			}
 			if ferr := rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
-				return c.streamDisconnect()
+				return c.metrics.streamDisconnect(w)
 			}
 		}
 		if rerr == io.EOF {
@@ -138,15 +135,8 @@ func (c *Coordinator) proxyFirstUp(w http.ResponseWriter, r *http.Request) error
 	return c.proxy(w, r, wk)
 }
 
-// handleEvalProxy / handleCountProxy route by ?doc=.
-func (c *Coordinator) handleEvalProxy(w http.ResponseWriter, r *http.Request) error {
-	return c.proxyByDocParam(w, r)
-}
-
-func (c *Coordinator) handleCountProxy(w http.ResponseWriter, r *http.Request) error {
-	return c.proxyByDocParam(w, r)
-}
-
+// proxyByDocParam routes /eval, /count and single-document /stream by
+// ?doc=.
 func (c *Coordinator) proxyByDocParam(w http.ResponseWriter, r *http.Request) error {
 	doc := r.URL.Query().Get("doc")
 	if doc == "" {
@@ -203,120 +193,86 @@ func (c *Coordinator) fanAll(ctx context.Context, r *http.Request, method, path 
 	})
 }
 
-// handleDocListFan merges every up worker's /docs listing, annotating
-// each document with its shard. A down worker's documents are simply
-// absent; the response says so with partial=true and an errors list.
-func (c *Coordinator) handleDocListFan(w http.ResponseWriter, r *http.Request) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
+// gatherList fetches every up worker's listing at path — a JSON object
+// holding an array under key — and concatenates the entries, tagging
+// each with its shard. Shards that failed come back as errs; a down
+// worker's entries are simply absent.
+func gatherList[T any](c *Coordinator, r *http.Request, path, key string, tag func(*T, string)) (merged []T, errs []fanResult, err error) {
+	if c.ring.UpCount() == 0 {
+		return nil, nil, errUnavailable("no workers available")
+	}
+	for _, res := range c.fanAll(r.Context(), r, http.MethodGet, path, nil, true) {
+		var body map[string][]T
+		if res.Err == "" && res.Status != 200 {
+			res.Err = fmt.Sprintf("worker %s: %s status %d", res.Worker, path, res.Status)
+		}
+		if res.Err == "" {
+			if err := json.Unmarshal(res.Body, &body); err != nil {
+				res.Err = "decoding " + path + " response: " + err.Error()
+			}
+		}
+		if res.Err != "" {
+			errs = append(errs, res)
+			continue
+		}
+		for _, e := range body[key] {
+			tag(&e, res.Worker)
+			merged = append(merged, e)
+		}
+	}
+	return merged, errs, nil
+}
+
+// fanList answers a listing endpoint with the sorted merge of the
+// shards' listings; missing shards are reported with partial=true and
+// an errors list.
+func fanList[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, path, key string, tag func(*T, string), less func(a, b T) bool) error {
+	merged, errs, err := gatherList(c, r, path, key, tag)
 	if err != nil {
 		return err
 	}
-	defer cancel()
-	if c.ring.UpCount() == 0 {
-		return errUnavailable("no workers available")
-	}
-	type shardDoc struct {
-		docInfo
-		Worker string `json:"worker"`
-	}
-	results := c.fanAll(ctx, r, http.MethodGet, "/docs", nil, true)
-	var docs []shardDoc
-	var errsList []fanResult
-	for _, res := range results {
-		if res.Err != "" || res.Status != 200 {
-			if res.Err == "" {
-				res.Err = fmt.Sprintf("worker %s: /docs status %d", res.Worker, res.Status)
-			}
-			c.cm.shardErrors.Add(1)
-			errsList = append(errsList, res)
-			continue
-		}
-		var body struct {
-			Docs []docInfo `json:"docs"`
-		}
-		if err := json.Unmarshal(res.Body, &body); err != nil {
-			res.Err = "decoding /docs response: " + err.Error()
-			errsList = append(errsList, res)
-			continue
-		}
-		for _, d := range body.Docs {
-			docs = append(docs, shardDoc{docInfo: d, Worker: res.Worker})
-		}
-	}
-	sort.Slice(docs, func(a, b int) bool { return docs[a].Name < docs[b].Name })
+	c.cm.shardErrors.Add(uint64(len(errs)))
+	sort.Slice(merged, func(a, b int) bool { return less(merged[a], merged[b]) })
 	out := map[string]any{
-		"docs":       docs,
+		key:          merged,
 		"workers":    c.ring.N(),
 		"workers_up": c.ring.UpCount(),
 	}
-	if len(errsList) > 0 || c.ring.UpCount() < c.ring.N() {
+	if len(errs) > 0 || c.ring.UpCount() < c.ring.N() {
 		out["partial"] = true
 	}
-	if len(errsList) > 0 {
-		out["errors"] = errsList
+	if len(errs) > 0 {
+		out["errors"] = errs
 	}
 	writeJSON(w, 200, out)
 	return nil
 }
 
-// handleViewListFan merges every up worker's /views listing.
+// shardDoc is a document in the coordinator's merged /docs listing.
+type shardDoc struct {
+	docInfo
+	Worker string `json:"worker"`
+}
+
+func (c *Coordinator) handleDocListFan(w http.ResponseWriter, r *http.Request) error {
+	return fanList(c, w, r, "/docs", "docs",
+		func(d *shardDoc, worker string) { d.Worker = worker },
+		func(a, b shardDoc) bool { return a.Name < b.Name })
+}
+
 func (c *Coordinator) handleViewListFan(w http.ResponseWriter, r *http.Request) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	if c.ring.UpCount() == 0 {
-		return errUnavailable("no workers available")
-	}
-	results := c.fanAll(ctx, r, http.MethodGet, "/views", nil, true)
-	var viewsOut []map[string]any
-	var errsList []fanResult
-	for _, res := range results {
-		if res.Err != "" || res.Status != 200 {
-			if res.Err == "" {
-				res.Err = fmt.Sprintf("worker %s: /views status %d", res.Worker, res.Status)
+	return fanList(c, w, r, "/views", "views",
+		func(v *map[string]any, worker string) { (*v)["worker"] = worker },
+		func(a, b map[string]any) bool {
+			da, _ := a["doc"].(string)
+			db, _ := b["doc"].(string)
+			if da != db {
+				return da < db
 			}
-			c.cm.shardErrors.Add(1)
-			errsList = append(errsList, res)
-			continue
-		}
-		var body struct {
-			Views []map[string]any `json:"views"`
-		}
-		if err := json.Unmarshal(res.Body, &body); err != nil {
-			res.Err = "decoding /views response: " + err.Error()
-			errsList = append(errsList, res)
-			continue
-		}
-		for _, v := range body.Views {
-			v["worker"] = res.Worker
-			viewsOut = append(viewsOut, v)
-		}
-	}
-	sort.Slice(viewsOut, func(a, b int) bool {
-		da, _ := viewsOut[a]["doc"].(string)
-		db, _ := viewsOut[b]["doc"].(string)
-		if da != db {
-			return da < db
-		}
-		qa, _ := viewsOut[a]["query"].(string)
-		qb, _ := viewsOut[b]["query"].(string)
-		return qa < qb
-	})
-	out := map[string]any{
-		"views":      viewsOut,
-		"workers":    c.ring.N(),
-		"workers_up": c.ring.UpCount(),
-	}
-	if len(errsList) > 0 || c.ring.UpCount() < c.ring.N() {
-		out["partial"] = true
-	}
-	if len(errsList) > 0 {
-		out["errors"] = errsList
-	}
-	writeJSON(w, 200, out)
-	return nil
+			qa, _ := a["query"].(string)
+			qb, _ := b["query"].(string)
+			return qa < qb
+		})
 }
 
 // handleQueryPutFan registers a prepared query on every shard. The
@@ -333,11 +289,7 @@ func (c *Coordinator) handleQueryPutFan(w http.ResponseWriter, r *http.Request) 
 		return errUnavailable(fmt.Sprintf(
 			"cluster degraded: %d/%d workers up; query registration needs every shard", up, c.ring.N()))
 	}
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-	if err != nil {
-		return err
-	}
-	defer cancel()
+	ctx := r.Context()
 	path := "/queries/" + url.PathEscape(name)
 	results := c.fanAll(ctx, r, http.MethodPut, path, body, false)
 	var failed, succeeded []fanResult
@@ -388,12 +340,7 @@ func (c *Coordinator) handleQueryDeleteFan(w http.ResponseWriter, r *http.Reques
 		return errUnavailable(fmt.Sprintf(
 			"cluster degraded: %d/%d workers up; query deletion needs every shard", up, c.ring.N()))
 	}
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	results := c.fanAll(ctx, r, http.MethodDelete, "/queries/"+url.PathEscape(name), nil, false)
+	results := c.fanAll(r.Context(), r, http.MethodDelete, "/queries/"+url.PathEscape(name), nil, false)
 	notFound, viewsDropped := 0, 0
 	var failed []fanResult
 	for _, res := range results {
@@ -431,40 +378,34 @@ func (c *Coordinator) handleQueryDeleteFan(w http.ResponseWriter, r *http.Reques
 }
 
 // handleAdminFan broadcasts an admin POST (flush-caches, snapshot) to
-// every up worker and reports per-worker outcomes.
-func (c *Coordinator) handleAdminFan(path string) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-		if err != nil {
-			return err
-		}
-		defer cancel()
-		if c.ring.UpCount() == 0 {
-			return errUnavailable("no workers available")
-		}
-		results := c.fanAll(ctx, r, http.MethodPost, path, nil, true)
-		status := 200
-		workers := make([]map[string]any, 0, len(results))
-		for _, res := range results {
-			entry := map[string]any{"worker": res.Worker, "status": res.Status}
-			if res.Err != "" {
-				entry["error"] = res.Err
-				status = http.StatusBadGateway
-				c.cm.shardErrors.Add(1)
-			} else if res.Status != 200 {
-				status = http.StatusBadGateway
-				c.cm.shardErrors.Add(1)
-			} else {
-				var body map[string]any
-				if err := json.Unmarshal(res.Body, &body); err == nil {
-					entry["response"] = body
-				}
-			}
-			workers = append(workers, entry)
-		}
-		writeJSON(w, status, map[string]any{"workers": workers})
-		return nil
+// every up worker under the path it arrived on and reports per-worker
+// outcomes.
+func (c *Coordinator) handleAdminFan(w http.ResponseWriter, r *http.Request) error {
+	if c.ring.UpCount() == 0 {
+		return errUnavailable("no workers available")
 	}
+	results := c.fanAll(r.Context(), r, http.MethodPost, r.URL.Path, nil, true)
+	status := 200
+	workers := make([]map[string]any, 0, len(results))
+	for _, res := range results {
+		entry := map[string]any{"worker": res.Worker, "status": res.Status}
+		if res.Err != "" {
+			entry["error"] = res.Err
+			status = http.StatusBadGateway
+			c.cm.shardErrors.Add(1)
+		} else if res.Status != 200 {
+			status = http.StatusBadGateway
+			c.cm.shardErrors.Add(1)
+		} else {
+			var body map[string]any
+			if err := json.Unmarshal(res.Body, &body); err == nil {
+				entry["response"] = body
+			}
+		}
+		workers = append(workers, entry)
+	}
+	writeJSON(w, status, map[string]any{"workers": workers})
+	return nil
 }
 
 // checkQuery verifies a prepared query exists before a scatter, so a

@@ -92,24 +92,18 @@ type shardStreamResult struct {
 }
 
 func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request) error {
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-	if err != nil {
-		return err
-	}
-	defer cancel()
+	ctx := r.Context()
 	query := r.URL.Query().Get("query")
 	if query == "" {
 		return errBadRequest("stream needs ?query=")
 	}
 	docsParam := r.URL.Query().Get("docs")
-	var docs []string
+	docs := splitDocs(docsParam)
 	if docsParam == "*" {
-		docs, err = c.listAllDocs(ctx, r)
-		if err != nil {
+		var err error
+		if docs, err = c.listAllDocs(r); err != nil {
 			return err
 		}
-	} else {
-		docs = splitDocs(docsParam)
 	}
 	if len(docs) == 0 {
 		return errBadRequest("stream ?docs= matched no documents")
@@ -136,7 +130,7 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 	took := time.Since(start)
 
 	if out.dead {
-		return c.streamDisconnect()
+		return c.metrics.streamDisconnect(w)
 	}
 	c.cm.mergedTuples.Add(uint64(out.n))
 
@@ -191,14 +185,7 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 	if len(shardErrs) > 0 {
 		summary["errors"] = shardErrs
 	}
-	line, _ := json.Marshal(summary)
-	if e := enc.WriteLine(line); e != nil {
-		return c.streamDisconnect()
-	}
-	if e := enc.Flush(rc); e != nil {
-		return c.streamDisconnect()
-	}
-	return nil
+	return c.metrics.endStream(w, enc, rc, summary)
 }
 
 // streamOneShard opens one worker /stream for one document and relays
@@ -270,30 +257,16 @@ func workerErrorMessage(body []byte, status int) string {
 }
 
 // listAllDocs resolves ?docs=* by merging the up workers' /docs
-// listings. Down shards contribute nothing — their documents are
-// unreachable anyway; the merged trailer's results make the per-shard
-// coverage explicit.
-func (c *Coordinator) listAllDocs(ctx context.Context, r *http.Request) ([]string, error) {
-	if c.ring.UpCount() == 0 {
-		return nil, errUnavailable("no workers available")
+// listings. Down or failing shards contribute nothing — their documents
+// are unreachable anyway; the merged trailer's results make the
+// per-shard coverage explicit.
+func (c *Coordinator) listAllDocs(r *http.Request) ([]string, error) {
+	docs, _, err := gatherList(c, r, "/docs", "docs", func(*docInfo, string) {})
+	names := make([]string, len(docs))
+	for i, d := range docs {
+		names[i] = d.Name
 	}
-	results := c.fanAll(ctx, r, http.MethodGet, "/docs", nil, true)
-	var names []string
-	for _, res := range results {
-		if res.Err != "" || res.Status != 200 {
-			continue
-		}
-		var body struct {
-			Docs []docInfo `json:"docs"`
-		}
-		if err := json.Unmarshal(res.Body, &body); err != nil {
-			continue
-		}
-		for _, d := range body.Docs {
-			names = append(names, d.Name)
-		}
-	}
-	return names, nil
+	return names, err
 }
 
 // --- batch scatter-gather ---
@@ -324,11 +297,7 @@ func (c *Coordinator) handleBatchScatter(w http.ResponseWriter, r *http.Request)
 	if req.Query == "" {
 		return errBadRequest("batch needs a query name")
 	}
-	ctx, cancel, err := requestContextFor(r, c.cfg.RequestTimeout, c.cfg.MaxTimeout)
-	if err != nil {
-		return err
-	}
-	defer cancel()
+	ctx := r.Context()
 	if err := c.checkQuery(ctx, r, req.Query); err != nil {
 		return err
 	}

@@ -1,15 +1,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"docspanner"
+	"docspanner/internal/cluster"
 )
 
 // --- document handlers ---
@@ -243,64 +246,65 @@ func withContent(r *http.Request) bool {
 	return v == "" || !(v == "0" || v == "false")
 }
 
+// evalSorted is the materializing path /eval and /batch share: enumerate
+// under ctx (a deadline is observed per tuple instead of only after the
+// whole evaluation), dedup, sort into the canonical order
+// (deterministic across runs and backends), and hand the result to use.
+// Plans whose enumeration is already duplicate-free collect straight
+// into a pooled slice — valid only until use returns; the rest dedup
+// through a relation exactly like Eval.
+func evalSorted(ctx context.Context, q *docspanner.Query, d *storedDoc, use func(sorted []docspanner.Tuple)) error {
+	if !q.DistinctEnumeration() {
+		rel := docspanner.NewRelation()
+		if err := q.EnumerateSource(ctx, d.source(), func(t docspanner.Tuple) bool { rel.Add(t); return true }); err != nil {
+			return err
+		}
+		use(rel.Sorted())
+		return nil
+	}
+	tuples := getEvalBuf()
+	defer func() { putEvalBuf(tuples) }()
+	if err := q.EnumerateSource(ctx, d.source(), func(t docspanner.Tuple) bool { tuples = append(tuples, t); return true }); err != nil {
+		return err
+	}
+	docspanner.SortTuples(tuples)
+	use(tuples)
+	return nil
+}
+
+// contentDoc returns the text span contents are cut from, or nil when
+// the request turned contents off.
+func contentDoc(d *storedDoc, wc bool) []byte {
+	if !wc {
+		return nil
+	}
+	return d.bytes()
+}
+
 // handleEval materializes the query result on one document and returns
-// it as a sorted JSON array (deterministic across runs and backends).
+// it as a sorted JSON array.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) error {
 	p, d, err := s.evalTarget(r)
 	if err != nil {
 		return err
 	}
-	ctx := r.Context()
-	start := time.Now()
-	// Materialize through the context-aware enumerator: a deadline is
-	// observed per tuple instead of only after the whole evaluation.
-	// Plans whose enumeration is already duplicate-free collect into a
-	// pooled slice and sort; the rest dedup through a relation exactly
-	// like Eval.
-	var tuples []docspanner.Tuple
-	var collect func(docspanner.Tuple) bool
-	var rel *docspanner.Relation
-	if p.query.DistinctEnumeration() {
-		tuples = getEvalBuf()
-		defer func() { putEvalBuf(tuples) }()
-		collect = func(t docspanner.Tuple) bool { tuples = append(tuples, t); return true }
-	} else {
-		rel = docspanner.NewRelation()
-		collect = func(t docspanner.Tuple) bool { rel.Add(t); return true }
-	}
-	if d.compressed {
-		err = p.query.EnumerateCompressedContext(ctx, d.doc, collect)
-	} else {
-		err = p.query.EnumerateContext(ctx, d.bytes(), collect)
-	}
-	if err != nil {
-		return err
-	}
-	if rel != nil {
-		tuples = rel.Sorted()
-	} else {
-		docspanner.SortTuples(tuples)
-	}
-	took := time.Since(start)
-	s.metrics.query(p.name, "eval", len(tuples), took)
-
 	wc := withContent(r)
-	var doc []byte
-	if wc {
-		doc = d.bytes()
-	}
-	writeJSON(w, 200, map[string]any{
-		"query":   p.name,
-		"doc":     d.name,
-		"version": d.version,
-		"count":   len(tuples),
-		"took":    took.String(),
-		"tuples":  tuplesJSON(tuples, doc, wc),
+	start := time.Now()
+	return evalSorted(r.Context(), p.query, d, func(tuples []docspanner.Tuple) {
+		took := time.Since(start)
+		s.metrics.query(p.name, "eval", len(tuples), took)
+		writeJSON(w, 200, map[string]any{
+			"query":   p.name,
+			"doc":     d.name,
+			"version": d.version,
+			"count":   len(tuples),
+			"took":    took.String(),
+			"tuples":  tuplesJSON(tuples, contentDoc(d, wc), wc),
+		})
 	})
-	return nil
 }
 
-// evalBufPool recycles handleEval's per-request tuple collection; the
+// evalBufPool recycles evalSorted's per-document tuple collection; the
 // references are cleared on the way back so pooled slices don't retain
 // result tuples across requests.
 var evalBufPool = sync.Pool{
@@ -340,14 +344,8 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	ctx := r.Context()
 	start := time.Now()
-	var n int
-	if d.compressed {
-		n, err = p.query.CountCompressedContext(ctx, d.doc)
-	} else {
-		n, err = p.query.CountContext(ctx, d.bytes())
-	}
+	n, err := p.query.CountSource(r.Context(), d.source())
 	if err != nil {
 		return err
 	}
@@ -382,10 +380,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	}
 	limit := intParam(r, "limit", 0)
 	wc := withContent(r)
-	var doc []byte
-	if wc {
-		doc = d.bytes()
-	}
+	doc := contentDoc(d, wc)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Streaming-Plan", strconv.FormatBool(p.query.Streaming()))
@@ -393,7 +388,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	enc := newNDJSONEncoder(w)
 	defer enc.Release()
 
-	ctx := r.Context()
 	start := time.Now()
 	n := 0
 	var ioErr error
@@ -411,15 +405,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 		n++
 		return limit == 0 || n < limit
 	}
-	if d.compressed {
-		err = p.query.EnumerateCompressedContext(ctx, d.doc, emit)
-	} else {
-		err = p.query.EnumerateContext(ctx, d.bytes(), emit)
-	}
+	err = p.query.EnumerateSource(r.Context(), d.source(), emit)
 	took := time.Since(start)
 	s.metrics.query(p.name, "stream", n, took)
 	if ioErr != nil {
-		return s.streamDisconnect(w)
+		return s.metrics.streamDisconnect(w)
 	}
 	summary := map[string]any{"done": true, "count": n, "took": took.String(), "version": d.version}
 	if err != nil {
@@ -428,18 +418,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 		summary["done"] = false
 		summary["error"] = err.Error()
 	}
-	// The trailer write is the last chance to notice the client vanished:
-	// when the server cancels the request context before any tuple write
-	// fails, the enumeration ends without an ioErr and only this write
-	// reports the dead connection.
-	line, _ := json.Marshal(summary)
-	if e := enc.WriteLine(line); e != nil {
-		return s.streamDisconnect(w)
-	}
-	if e := enc.Flush(rc); e != nil {
-		return s.streamDisconnect(w)
-	}
-	return nil
+	return s.metrics.endStream(w, enc, rc, summary)
 }
 
 // batchRequest is the body of POST /batch: one prepared query over a
@@ -452,10 +431,11 @@ type batchRequest struct {
 	Content *bool `json:"content,omitempty"`
 }
 
-// handleBatch evaluates a query over many stored documents in parallel
-// (EvalDocs / EvalCompressedDocs worker pools), returning one result
-// object per document in request order. Plain and compressed documents
-// may be mixed; each group runs through its matching engine.
+// handleBatch evaluates (and encodes) a query over many stored documents
+// on a bounded worker pool, returning one result object per document in
+// request order. Every document — plain or compressed — goes through
+// evalSorted, so the request deadline is observed per tuple inside each
+// document, not only between documents.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	var req batchRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -470,78 +450,49 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	}
 	wc := req.Content == nil || *req.Content
 
-	// Resolve all snapshots up front, splitting by representation while
-	// remembering each document's position in the request.
-	type slot struct {
-		d   *storedDoc
-		rel *docspanner.Relation
-	}
-	slots := make([]slot, len(req.Docs))
-	var plainIdx, compIdx []int
+	// Resolve all snapshots up front: a missing document fails the batch
+	// before any evaluation starts.
+	docs := make([]*storedDoc, len(req.Docs))
 	for i, name := range req.Docs {
-		d, err := s.store.get(name)
-		if err != nil {
+		if docs[i], err = s.store.get(name); err != nil {
 			return err
-		}
-		slots[i].d = d
-		if d.compressed {
-			compIdx = append(compIdx, i)
-		} else {
-			plainIdx = append(plainIdx, i)
 		}
 	}
 
+	workers := req.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	ctx := r.Context()
-	opts := docspanner.ParallelOptions{Workers: req.Workers}
+	results := make([]map[string]any, len(docs))
 	start := time.Now()
-	if len(plainIdx) > 0 {
-		docs := make([][]byte, len(plainIdx))
-		for k, i := range plainIdx {
-			docs[k] = slots[i].d.bytes()
-		}
-		rels, err := docspanner.EvalDocs(ctx, p.query, docs, opts)
-		if err != nil {
-			return err
-		}
-		for k, i := range plainIdx {
-			slots[i].rel = rels[k]
-		}
-	}
-	if len(compIdx) > 0 {
-		docs := make([]*docspanner.Document, len(compIdx))
-		for k, i := range compIdx {
-			docs[k] = slots[i].d.doc
-		}
-		rels, err := docspanner.EvalCompressedDocs(ctx, p.query, docs, opts)
-		if err != nil {
-			return err
-		}
-		for k, i := range compIdx {
-			slots[i].rel = rels[k]
-		}
-	}
+	errs := cluster.Scatter(ctx, docs, workers, func(ctx context.Context, i int, d *storedDoc) error {
+		return evalSorted(ctx, p.query, d, func(tuples []docspanner.Tuple) {
+			results[i] = map[string]any{
+				"doc":     d.name,
+				"version": d.version,
+				"count":   len(tuples),
+				"tuples":  tuplesJSON(tuples, contentDoc(d, wc), wc),
+			}
+		})
+	})
 	took := time.Since(start)
 
 	total := 0
-	results := make([]map[string]any, len(slots))
-	for i, sl := range slots {
-		tuples := sl.rel.Sorted()
-		total += len(tuples)
-		var doc []byte
-		if wc {
-			doc = sl.d.bytes()
+	for i, err := range errs {
+		if err != nil {
+			return err
 		}
-		results[i] = map[string]any{
-			"doc":     sl.d.name,
-			"version": sl.d.version,
-			"count":   len(tuples),
-			"tuples":  tuplesJSON(tuples, doc, wc),
+		if results[i] == nil {
+			// Never dispatched: Scatter stops once the context is done.
+			return ctx.Err()
 		}
+		total += results[i]["count"].(int)
 	}
 	s.metrics.query(p.name, "batch", total, took)
 	writeJSON(w, 200, map[string]any{
 		"query":   p.name,
-		"docs":    len(slots),
+		"docs":    len(docs),
 		"count":   total,
 		"took":    took.String(),
 		"results": results,

@@ -215,16 +215,16 @@ func (s *Server) handleDocChanges(w http.ResponseWriter, r *http.Request) error 
 
 	for _, t := range removed {
 		if err := enc.EncodeChange("remove", t, nil, false); err != nil {
-			return s.streamDisconnect(w)
+			return s.metrics.streamDisconnect(w)
 		}
 	}
 	for _, t := range added {
 		if err := enc.EncodeChange("add", t, nil, false); err != nil {
-			return s.streamDisconnect(w)
+			return s.metrics.streamDisconnect(w)
 		}
 	}
 	key := v.Key()
-	line, _ := json.Marshal(map[string]any{
+	return s.metrics.endStream(w, enc, rc, map[string]any{
 		"done":    true,
 		"doc":     key.Doc,
 		"query":   key.Query,
@@ -233,21 +233,4 @@ func (s *Server) handleDocChanges(w http.ResponseWriter, r *http.Request) error 
 		"added":   len(added),
 		"removed": len(removed),
 	})
-	if err := enc.WriteLine(line); err != nil {
-		return s.streamDisconnect(w)
-	}
-	if err := enc.Flush(rc); err != nil {
-		return s.streamDisconnect(w)
-	}
-	return nil
-}
-
-// streamDisconnect records a mid-stream client disconnect as a 499;
-// handleStream and handleDocChanges share it.
-func (s *Server) streamDisconnect(w http.ResponseWriter) error {
-	s.metrics.disconnects.Add(1)
-	if sw, ok := w.(*statusWriter); ok {
-		sw.status = 499
-	}
-	return nil
 }

@@ -1,0 +1,120 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"docspanner/internal/cluster"
+)
+
+// TestBatchObservesDeadlineInsideADocument: a one-document batch over a
+// Θ(n²)-output query must stop at its ?timeout=, not run the document
+// to completion and answer 200 after the deadline (the worker pool used
+// to check the context only between documents).
+func TestBatchObservesDeadlineInsideADocument(t *testing.T) {
+	s := newTestServer(t, Config{})
+	do(t, s, "PUT", "/docs/d", strings.Repeat("a", 2000))
+	code, _ := do(t, s, "PUT", "/queries/quad", `{"src": ".*!x{a+}.*"}`)
+	mustStatus(t, code, 200, "register quadratic query")
+
+	start := time.Now()
+	code, body := do(t, s, "POST", "/batch?timeout=30ms", `{"query": "quad", "docs": ["d"], "content": false}`)
+	elapsed := time.Since(start)
+	mustStatus(t, code, 504, "one-document batch past its deadline")
+	if !strings.Contains(fmt.Sprint(body["error"]), "deadline") {
+		t.Fatalf("timeout error: %v", body)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("batch noticed its 30ms deadline only after %v", elapsed)
+	}
+}
+
+// TestRenderErrorCountsA504Once: however a deadline reaches the
+// renderer — as a bare context error, or already mapped to a 504 by the
+// coordinator's clusterErr — the timeout counter moves by exactly one.
+func TestRenderErrorCountsA504Once(t *testing.T) {
+	p := &pipeline{metrics: newMetrics(), timeoutMsg: "cluster fan-out deadline exceeded"}
+	for name, err := range map[string]error{
+		"bare context error": context.DeadlineExceeded,
+		"wrapped context":    fmt.Errorf("fan-out: %w", context.DeadlineExceeded),
+		"clusterErr-mapped":  clusterErr(context.DeadlineExceeded),
+	} {
+		if st := cluster.StatusFor(context.DeadlineExceeded); st != 504 {
+			t.Fatalf("cluster.StatusFor(deadline) = %d, the test assumes 504", st)
+		}
+		before := p.metrics.timeouts.Load()
+		rec := httptest.NewRecorder()
+		p.renderError(&statusWriter{ResponseWriter: rec}, err)
+		if rec.Code != 504 {
+			t.Fatalf("%s: status %d, want 504", name, rec.Code)
+		}
+		if got := p.metrics.timeouts.Load() - before; got != 1 {
+			t.Fatalf("%s: timeouts counter moved by %d, want 1", name, got)
+		}
+	}
+}
+
+// TestRolesShareTheRouteTable: every row except GET /cluster is mounted
+// on both roles under the same pattern, and what the table does not
+// hold is refused identically by both.
+func TestRolesShareTheRouteTable(t *testing.T) {
+	tc := newTestCluster(t, 1, CoordinatorConfig{})
+	worker, coord := tc.workers[0].srv, tc.coord
+
+	fill := strings.NewReplacer("{name}", "n", "{query}", "q")
+	for _, rt := range routes {
+		method, path, _ := strings.Cut(fill.Replace(rt.pattern), " ")
+		req := httptest.NewRequest(method, path, nil)
+		if _, got := coord.mux.Handler(req); got != rt.pattern {
+			t.Errorf("coordinator routes %s %s to %q, want %q", method, path, got, rt.pattern)
+		}
+		want := rt.pattern
+		if rt.pattern == "GET /cluster" {
+			want = ""
+		} else if rt.worker == nil {
+			t.Errorf("%s has no worker handler; GET /cluster is the only coordinator-only row", rt.pattern)
+		}
+		if _, got := worker.mux.Handler(req); got != want {
+			t.Errorf("worker routes %s %s to %q, want %q", method, path, got, want)
+		}
+	}
+
+	for _, target := range []string{"GET /nosuch", "GET /docs/a/b/c/d", "DELETE /eval", "PATCH /docs/n"} {
+		method, path, _ := strings.Cut(target, " ")
+		var recs [2]*httptest.ResponseRecorder
+		for i, h := range []http.Handler{worker, coord} {
+			recs[i] = httptest.NewRecorder()
+			h.ServeHTTP(recs[i], httptest.NewRequest(method, path, nil))
+		}
+		w, c := recs[0], recs[1]
+		if w.Code < 400 || w.Code != c.Code ||
+			w.Header().Get("Content-Type") != c.Header().Get("Content-Type") ||
+			w.Header().Get("Allow") != c.Header().Get("Allow") ||
+			w.Body.String() != c.Body.String() {
+			t.Errorf("%s: worker answered %d %q %q, coordinator %d %q %q", target,
+				w.Code, w.Header().Get("Content-Type"), w.Body.String(),
+				c.Code, c.Header().Get("Content-Type"), c.Body.String())
+		}
+	}
+}
+
+// TestCompressedSourceSharesTheSnapshotText: the Source of a compressed
+// document hands operators the snapshot's cached text instead of
+// decompressing per evaluation.
+func TestCompressedSourceSharesTheSnapshotText(t *testing.T) {
+	s := newTestServer(t, Config{})
+	do(t, s, "PUT", "/docs/d?compress=1", strings.Repeat("abab", 64))
+	d, err := s.store.get("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := d.source().Bytes(), d.source().Bytes()
+	if &a[0] != &b[0] || &a[0] != &d.bytes()[0] {
+		t.Fatal("two evaluations over one compressed snapshot decompressed separately")
+	}
+}

@@ -11,17 +11,13 @@ package server
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"docspanner"
@@ -114,7 +110,7 @@ type Server struct {
 	queries *registry
 	views   *views.Set
 	metrics *metrics
-	sem     chan struct{}
+	sem     chan struct{} // concurrency limiter of the evaluation routes
 	mux     *http.ServeMux
 
 	// Async view refresher: mutations enqueue document names; the worker
@@ -168,7 +164,22 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.refreshWorker()
 	}
-	s.routes()
+	pipe := &pipeline{
+		role:       "worker",
+		logger:     cfg.Logger,
+		metrics:    s.metrics,
+		maxBody:    cfg.MaxBodyBytes,
+		timeout:    cfg.RequestTimeout,
+		maxTimeout: cfg.MaxTimeout,
+		timeoutMsg: "evaluation deadline exceeded",
+		sem:        s.sem,
+	}
+	s.mux = pipe.mount(func(rt route) (handlerFunc, bool) {
+		if rt.worker == nil {
+			return nil, false
+		}
+		return func(w http.ResponseWriter, r *http.Request) error { return rt.worker(s, w, r) }, rt.limited
+	})
 	return s, nil
 }
 
@@ -260,42 +271,6 @@ func (s *Server) notifyDocChanged(name string) {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.wrap("readyz", s.handleReadyz))
-	s.mux.HandleFunc("GET /metrics", s.wrap("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /varz", s.wrap("varz", s.handleVarz))
-
-	s.mux.HandleFunc("GET /docs", s.wrap("docs.list", s.handleDocList))
-	s.mux.HandleFunc("PUT /docs/{name}", s.wrap("docs.put", s.handleDocPut))
-	s.mux.HandleFunc("GET /docs/{name}", s.wrap("docs.get", s.handleDocGet))
-	s.mux.HandleFunc("DELETE /docs/{name}", s.wrap("docs.delete", s.handleDocDelete))
-	s.mux.HandleFunc("POST /docs/{name}/compress", s.wrap("docs.compress", s.handleDocCompress))
-	s.mux.HandleFunc("POST /docs/{name}/edit", s.wrap("docs.edit", s.handleDocEdit))
-	s.mux.HandleFunc("POST /docs/{name}/warm", s.wrap("docs.warm", s.limited(s.handleDocWarm)))
-	s.mux.HandleFunc("GET /docs/{name}/views", s.wrap("views.list", s.handleDocViewList))
-	s.mux.HandleFunc("PUT /docs/{name}/views/{query}", s.wrap("views.put", s.limited(s.handleViewPut)))
-	s.mux.HandleFunc("GET /docs/{name}/views/{query}", s.wrap("views.get", s.handleViewGet))
-	s.mux.HandleFunc("DELETE /docs/{name}/views/{query}", s.wrap("views.delete", s.handleViewDelete))
-	s.mux.HandleFunc("GET /docs/{name}/changes", s.wrap("docs.changes", s.handleDocChanges))
-	s.mux.HandleFunc("GET /views", s.wrap("views.list", s.handleViewList))
-
-	s.mux.HandleFunc("GET /queries", s.wrap("queries.list", s.handleQueryList))
-	s.mux.HandleFunc("PUT /queries/{name}", s.wrap("queries.put", s.handleQueryPut))
-	s.mux.HandleFunc("GET /queries/{name}", s.wrap("queries.get", s.handleQueryGet))
-	s.mux.HandleFunc("DELETE /queries/{name}", s.wrap("queries.delete", s.handleQueryDelete))
-	s.mux.HandleFunc("GET /queries/{name}/explain", s.wrap("queries.explain", s.handleQueryExplain))
-
-	s.mux.HandleFunc("GET /eval", s.wrap("eval", s.limited(s.handleEval)))
-	s.mux.HandleFunc("GET /count", s.wrap("count", s.limited(s.handleCount)))
-	s.mux.HandleFunc("GET /stream", s.wrap("stream", s.limited(s.handleStream)))
-	s.mux.HandleFunc("POST /batch", s.wrap("batch", s.limited(s.handleBatch)))
-
-	s.mux.HandleFunc("POST /admin/flush-caches", s.wrap("admin.flush", s.handleFlushCaches))
-	s.mux.HandleFunc("POST /admin/snapshot", s.wrap("admin.snapshot", s.handleSnapshot))
-}
-
 // httpError is an error with an HTTP status; handlers return it to get
 // a structured JSON error response. retryAfter > 0 adds a Retry-After
 // header (seconds) — the coordinator's backoff honors it, so a loaded
@@ -342,204 +317,6 @@ func syncFailed(what string, err error) error { return &syncFailedError{what: wh
 func isSyncFailed(err error) bool {
 	var sf *syncFailedError
 	return errors.As(err, &sf)
-}
-
-// Request IDs are a random per-process prefix plus a counter: unique
-// across a cluster's processes without per-request entropy reads.
-var (
-	reqIDPrefix = func() string {
-		var b [6]byte
-		if _, err := crand.Read(b[:]); err != nil {
-			return "00deadbeef00"
-		}
-		return hex.EncodeToString(b[:])
-	}()
-	reqIDCounter atomic.Uint64
-)
-
-// requestID returns the request's X-Request-ID, minting one when the
-// client didn't send it. IDs are capped at 128 bytes so a hostile
-// header can't bloat every log line it transits.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
-		return id
-	}
-	return reqIDPrefix + "-" + strconv.FormatUint(reqIDCounter.Add(1), 16)
-}
-
-// statusWriter records the response code for logs and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = 200
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the underlying writer so NDJSON streaming works
-// through the wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// FlushError forwards the error-reporting flush that
-// http.ResponseController prefers over plain Flush. Without it the
-// wrapper would hide flush failures — the one signal that tells a
-// streaming handler its client hung up — behind the error-swallowing
-// Flusher path.
-func (w *statusWriter) FlushError() error {
-	switch f := w.ResponseWriter.(type) {
-	case interface{ FlushError() error }:
-		return f.FlushError()
-	case http.Flusher:
-		f.Flush()
-		return nil
-	}
-	return http.ErrNotSupported
-}
-
-// wrap adapts an error-returning handler: it bounds the body, tracks
-// inflight/latency metrics, renders httpErrors as JSON, and emits one
-// structured log line per request. Every request carries an
-// X-Request-ID — the client's if it sent one (the coordinator stamps
-// its own onto worker hops), freshly generated otherwise — echoed on
-// the response and logged on both sides, so one extraction can be
-// trace-stitched across the coordinator→worker boundary.
-func (s *Server) wrap(handler string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
-		reqID := requestID(r)
-		w.Header().Set("X-Request-ID", reqID)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		sw := &statusWriter{ResponseWriter: w}
-		err := h(sw, r)
-		if err != nil {
-			s.renderError(sw, err)
-		}
-		if sw.status == 0 {
-			sw.status = 200
-		}
-		d := time.Since(start)
-		s.metrics.request(handler, sw.status, d)
-		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("handler", handler),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", d),
-			slog.String("request_id", reqID),
-		)
-	}
-}
-
-func (s *Server) renderError(w *statusWriter, err error) {
-	if w.status != 0 {
-		// Headers already sent (mid-stream failure); nothing to render.
-		return
-	}
-	he := &httpError{status: 500, message: err.Error()}
-	var cast *httpError
-	if errors.As(err, &cast) {
-		he = cast
-	}
-	var sf *syncFailedError
-	if errors.As(err, &sf) {
-		s.metrics.syncFailures.Add(1)
-		he = &httpError{status: 500, message: sf.Error()}
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		he = &httpError{status: 504, message: "evaluation deadline exceeded"}
-		s.metrics.timeouts.Add(1)
-	} else if errors.Is(err, context.Canceled) {
-		he = &httpError{status: 499, message: "request cancelled"}
-	}
-	if he.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(he.retryAfter))
-	}
-	body := map[string]any{"error": he.message}
-	if he.diags != nil {
-		body["diagnostics"] = he.diags
-	}
-	writeJSON(w, he.status, body)
-}
-
-// limited applies the concurrency limiter and the per-request deadline
-// to an evaluation handler. Waiting for a slot respects the client
-// disconnecting; a slot that does not free up before the deadline is a
-// 503, not a queue that grows without bound.
-func (s *Server) limited(h func(http.ResponseWriter, *http.Request) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		ctx, cancel, err := s.requestContext(r)
-		if err != nil {
-			return err
-		}
-		defer cancel()
-		// Prefer a free slot over an already-expired context (select
-		// picks randomly among ready cases): a request that can run
-		// immediately should fail with its own deadline error, not 503.
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				s.metrics.rejected.Add(1)
-				return errUnavailable("server at max concurrency; retry later")
-			}
-		}
-		defer func() { <-s.sem }()
-		return h(w, r.WithContext(ctx))
-	}
-}
-
-// requestContext derives the evaluation context: the client's context
-// plus the default or ?timeout= deadline (capped by MaxTimeout).
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	return requestContextFor(r, s.cfg.RequestTimeout, s.cfg.MaxTimeout)
-}
-
-// requestContextFor is the shared ?timeout= policy, used by both the
-// worker Server and the cluster Coordinator (whose whole fan-out runs
-// under the one deadline).
-func requestContextFor(r *http.Request, def, max time.Duration) (context.Context, context.CancelFunc, error) {
-	d := def
-	if t := r.URL.Query().Get("timeout"); t != "" {
-		td, err := time.ParseDuration(t)
-		if err != nil || td <= 0 {
-			return nil, nil, errBadRequest(fmt.Sprintf("bad timeout %q (want a positive Go duration like 250ms)", t))
-		}
-		d = td
-	}
-	if d > max {
-		d = max
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // --- observability handlers ---

@@ -44,6 +44,17 @@ func (d *storedDoc) bytes() []byte {
 	return d.plain
 }
 
+// source resolves the snapshot to what evaluation takes: the grammar
+// (with this snapshot's cached text as the provider, so operators that
+// need raw text decompress once per snapshot, not per request) for
+// documents held in compressed form, the bytes otherwise.
+func (d *storedDoc) source() docspanner.Source {
+	if d.compressed {
+		return docspanner.Compressed(d.doc, d.bytes)
+	}
+	return docspanner.Text(d.bytes())
+}
+
 // docInfo is the JSON shape of a document in listings and responses.
 type docInfo struct {
 	Name        string `json:"name"`

@@ -106,14 +106,17 @@ func (o ParallelOptions) workers(n int) int {
 // computed it). On cancellation it stops scheduling new documents, waits
 // for in-flight evaluations, and returns the context's error.
 func EvalDocs(ctx context.Context, ev Evaluator, docs [][]byte, opts ParallelOptions) ([]*Relation, error) {
+	return evalBatch(ctx, len(docs), opts, func(i int) *Relation { return ev.Eval(docs[i]) })
+}
+
+// evalBatch is the worker-pool skeleton shared by EvalDocs and
+// EvalCompressedDocs.
+func evalBatch(ctx context.Context, n int, opts ParallelOptions, eval func(i int) *Relation) ([]*Relation, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]*Relation, len(docs))
-	err := runPool(ctx, len(docs), opts.workers(len(docs)), func(i int) {
-		out[i] = ev.Eval(docs[i])
-	})
-	if err != nil {
+	out := make([]*Relation, n)
+	if err := runPool(ctx, n, opts.workers(n), func(i int) { out[i] = eval(i) }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -129,10 +132,7 @@ func EvalDocs(ctx context.Context, ev Evaluator, docs [][]byte, opts ParallelOpt
 // enumerating. Returns the context's error on cancellation, nil on
 // completion or early stop.
 func EnumerateDocs(ctx context.Context, s StreamEvaluator, docs [][]byte, opts ParallelOptions, f func(doc int, t Tuple) bool) error {
-	enumerate := func(i int, yield func(Tuple) bool) {
-		s.Enumerate(docs[i], yield)
-	}
-	return enumerateBatch(ctx, len(docs), opts, enumerate, f)
+	return enumerateBatch(ctx, len(docs), opts, func(i int, yield func(Tuple) bool) { s.Enumerate(docs[i], yield) }, f)
 }
 
 // tupleBufPool recycles the per-document tuple buffers of
@@ -242,17 +242,7 @@ deliver:
 // are processed by whichever worker reaches them first and hit the
 // cache everywhere else.
 func EvalCompressedDocs(ctx context.Context, ev CompressedEvaluator, docs []*Document, opts ParallelOptions) ([]*Relation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]*Relation, len(docs))
-	err := runPool(ctx, len(docs), opts.workers(len(docs)), func(i int) {
-		out[i] = ev.EvalCompressed(docs[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return evalBatch(ctx, len(docs), opts, func(i int) *Relation { return ev.EvalCompressed(docs[i]) })
 }
 
 // EnumerateCompressedDocs enumerates a CompressedStreamEvaluator on a
@@ -262,10 +252,7 @@ func EvalCompressedDocs(ctx context.Context, ev CompressedEvaluator, docs []*Doc
 // batch. With an Index the shared node cache makes the per-document
 // preprocessing incremental across the batch.
 func EnumerateCompressedDocs(ctx context.Context, ev CompressedStreamEvaluator, docs []*Document, opts ParallelOptions, f func(doc int, t Tuple) bool) error {
-	enumerate := func(i int, yield func(Tuple) bool) {
-		ev.EnumerateCompressed(docs[i], yield)
-	}
-	return enumerateBatch(ctx, len(docs), opts, enumerate, f)
+	return enumerateBatch(ctx, len(docs), opts, func(i int, yield func(Tuple) bool) { ev.EnumerateCompressed(docs[i], yield) }, f)
 }
 
 // ShardOptions configures EvalSharded.

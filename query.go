@@ -237,57 +237,71 @@ func (q *Query) planOptions() plan.Options {
 	}
 }
 
-// Eval materializes the query result on doc, executing the planned
-// physical operators.
-func (q *Query) Eval(doc []byte) *Relation {
-	return q.plan().Eval(doc)
-}
+// Source is a document as evaluation receives it: plain bytes (Text) or
+// an SLP-compressed Document (Compressed). The survey states one
+// evaluation problem — enumerate ⟦S⟧(D) — and Section 4 only changes how
+// D is given, so a Query has one evaluation path over a Source; the
+// []byte and *Document methods below are conveniences over it.
+type Source = plan.Source
 
-// Enumerate streams the query's result tuples on doc without
+// Text is the Source of a plain document.
+func Text(doc []byte) Source { return plan.Text(doc) }
+
+// Compressed is the Source of an SLP-compressed document. Fused regular
+// subplans run on the grammar and never decompress; operators that
+// genuinely need the text — string-equality selections, refl scans —
+// obtain it from text, or, when text is nil, from one lazy
+// decompression shared by the whole evaluation. Pass a provider when
+// the decompressed text is already cached elsewhere.
+func Compressed(d *Document, text func() []byte) Source { return plan.SLP(d.Node(), text) }
+
+// EnumerateSource streams the query's result tuples on src without
 // materializing intermediate relations where the plan allows it (a
-// query fused to a single automaton streams with constant delay; plans
-// with residual algebra materialize below the root). Return false from
-// f to stop early.
-func (q *Query) Enumerate(doc []byte, f func(t Tuple) bool) {
-	q.plan().Enumerate(doc, f)
-}
-
-// Count returns the number of result tuples on doc.
-func (q *Query) Count(doc []byte) int {
-	return q.plan().Count(doc)
-}
-
-// EnumerateContext is Enumerate with cancellation: the enumeration
-// stops as soon as ctx is cancelled or its deadline passes, and the
-// context's error is returned (nil on completion or early stop by f).
+// query fused to a single automaton streams with constant delay on
+// text and logarithmic delay on a compressed document; plans with
+// residual algebra materialize below the root). Return false from f to
+// stop early. The enumeration also stops as soon as ctx is cancelled or
+// its deadline passes, and the context's error is returned (nil on
+// completion or early stop by f).
 //
 // Cancellation contract: the context is checked before the enumeration
-// starts and then between consecutive tuples, so on a streaming plan
-// (Streaming() == true) cancellation is observed within one tuple's
-// delay — constant delay for fused regular plans. Plans with residual
-// algebra materialize below the root first; for those, cancellation is
-// only observed while the materialized tuples are being delivered.
-// A nil ctx behaves like context.Background().
-func (q *Query) EnumerateContext(ctx context.Context, doc []byte, f func(t Tuple) bool) error {
-	return enumerateWithContext(ctx, f, func(g func(Tuple) bool) {
-		q.plan().Enumerate(doc, g)
+// starts and then between consecutive tuples (a non-blocking poll of
+// ctx.Done, cheap next to the per-tuple work of any backend), so on a
+// streaming plan (Streaming() == true) cancellation is observed within
+// one tuple's delay. Plans with residual algebra materialize below the
+// root first; for those, cancellation is only observed while the
+// materialized tuples are being delivered. A nil ctx behaves like
+// context.Background().
+func (q *Query) EnumerateSource(ctx context.Context, src Source, f func(t Tuple) bool) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	done := ctx.Done()
+	cancelled := false
+	q.plan().Enumerate(src, func(t Tuple) bool {
+		select {
+		case <-done:
+			cancelled = true
+			return false
+		default:
+		}
+		return f(t)
 	})
+	if cancelled {
+		return ctx.Err()
+	}
+	return nil
 }
 
-// CountContext is Count with cancellation, under the same contract as
-// EnumerateContext; on cancellation the partial count so far is
-// returned alongside the context's error. Like Count, single-scan plans
-// count through the tuple-free walk — no tuples are built, the context
-// is polled per counted tuple.
-func (q *Query) CountContext(ctx context.Context, doc []byte) (int, error) {
-	return countWithContext(ctx, func(poll func() bool) (int, bool) {
-		return q.plan().CountPoll(doc, poll)
-	})
-}
-
-// countWithContext adapts a poll-style counting walk to the context
-// contract of CountContext.
-func countWithContext(ctx context.Context, run func(poll func() bool) (int, bool)) (int, error) {
+// CountSource returns the number of result tuples on src, under the
+// cancellation contract of EnumerateSource; on cancellation the partial
+// count so far is returned alongside the context's error. Single-scan
+// plans count through the tuple-free walks — no tuples are built, the
+// context is polled per counted tuple.
+func (q *Query) CountSource(ctx context.Context, src Source) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -295,7 +309,7 @@ func countWithContext(ctx context.Context, run func(poll func() bool) (int, bool
 		return 0, err
 	}
 	done := ctx.Done()
-	n, complete := run(func() bool {
+	n, complete := q.plan().CountPoll(src, func() bool {
 		select {
 		case <-done:
 			return false
@@ -309,31 +323,27 @@ func countWithContext(ctx context.Context, run func(poll func() bool) (int, bool
 	return n, nil
 }
 
-// enumerateWithContext runs a streaming enumeration with the yield
-// wrapped in a per-tuple cancellation check (a non-blocking poll of
-// ctx.Done, cheap next to the per-tuple work of any backend).
-func enumerateWithContext(ctx context.Context, f func(Tuple) bool, run func(func(Tuple) bool)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	done := ctx.Done()
-	cancelled := false
-	run(func(t Tuple) bool {
-		select {
-		case <-done:
-			cancelled = true
-			return false
-		default:
-		}
-		return f(t)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+// Eval materializes the query result on doc, executing the planned
+// physical operators.
+func (q *Query) Eval(doc []byte) *Relation { return q.plan().Eval(Text(doc)) }
+
+// Enumerate is EnumerateSource on plain text, without cancellation.
+func (q *Query) Enumerate(doc []byte, f func(t Tuple) bool) { q.plan().Enumerate(Text(doc), f) }
+
+// Count returns the number of result tuples on doc.
+func (q *Query) Count(doc []byte) int {
+	n, _ := q.plan().CountPoll(Text(doc), nil)
+	return n
+}
+
+// EnumerateContext is EnumerateSource on plain text.
+func (q *Query) EnumerateContext(ctx context.Context, doc []byte, f func(t Tuple) bool) error {
+	return q.EnumerateSource(ctx, Text(doc), f)
+}
+
+// CountContext is CountSource on plain text.
+func (q *Query) CountContext(ctx context.Context, doc []byte) (int, error) {
+	return q.CountSource(ctx, Text(doc))
 }
 
 // Streaming reports whether Enumerate on this query yields tuples
