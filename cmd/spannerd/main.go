@@ -64,7 +64,7 @@
 //	GET    /docs/{name}/views/{q}    version-stamped result [?tuples=1]
 //	DELETE /docs/{name}/views/{q}    drop a view
 //	GET    /docs/{name}/changes      ?query=q&since=V tuple delta, NDJSON
-//	POST   /admin/flush-caches       drop the shared plan + matrix caches
+//	POST   /admin/flush-caches       empty the registered queries' matrix tables in place
 //	POST   /admin/snapshot           cut a storage snapshot, truncate WAL
 package main
 
@@ -78,6 +78,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -86,7 +87,16 @@ import (
 	"docspanner/internal/storage"
 )
 
+// heapFloor is never written, so it costs address space and no memory;
+// the collector counts it as live and sizes its next cycle from an 8 MiB
+// larger heap. A worker whose live heap is a few MB — ad-hoc queries
+// come and go and leave nothing behind — otherwise collects some 200
+// times a second under registration load (every ~5 MB allocated, 11 %
+// of its CPU, and often enough to keep every sync.Pool empty).
+var heapFloor = make([]byte, 8<<20)
+
 func main() {
+	defer runtime.KeepAlive(heapFloor)
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		maxConc = flag.Int("max-concurrent", 64, "max evaluation requests running at once")

@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"sync/atomic"
 
-	"docspanner/internal/automata"
 	"docspanner/internal/slp"
 	"docspanner/internal/slpmatch"
 )
@@ -123,26 +122,35 @@ func (db *DocDB) Edit(name, expr string) (*Document, error) {
 // built, it enumerates the spanner's results over SLP-compressed
 // documents with preprocessing linear in the SLP size and delay
 // O(log |D|) (Section 4.2), and it extends incrementally across CDE
-// edits (Section 4.3). Per-node data lives in a concurrent cache shared
-// by every Index over the same spanner, so an Index is safe for
-// concurrent use and a database of documents pays for each shared SLP
-// node once, no matter how many goroutines touch it. Documents
-// themselves are immutable and freely shareable.
+// edits (Section 4.3). Per-node data lives in concurrent tables the
+// Index owns, so an Index is safe for concurrent use and a database of
+// documents pays for each shared SLP node once, no matter how many
+// goroutines touch it. A spanner or query has exactly one Index — the
+// one its own evaluation over compressed documents uses — so whoever
+// calls Index() shares those tables, and they are freed with the query.
+// Documents themselves are immutable and freely shareable.
 type Index struct {
 	ix *slpmatch.Index
-	// counter is built lazily on first ExactCount. Racing initializations
-	// are harmless: NewCounter hash-conses the core per automaton, so all
-	// winners are equivalent.
+	// counter is built on first ExactCount; nil until then.
 	counter atomic.Pointer[slpmatch.Counter]
 }
 
-// Index builds (or returns a cached) compressed-evaluation index for a
-// regular spanner.
+// Index returns the spanner's compressed-evaluation index (regular
+// spanners only), built on first use.
 func (s *Spanner) Index() (*Index, error) {
 	if !s.IsRegular() {
 		return nil, fmt.Errorf("docspanner: compressed evaluation is implemented for regular spanners")
 	}
-	return &Index{ix: slpmatch.NewIndex(s.dEVA())}, nil
+	s.indexOnce.Do(func() {
+		ix, ok := s.plan().Index()
+		if !ok {
+			// Pruned to ∅ or over the planner's determinization gate: the
+			// plan has no constant-delay scan whose index to share.
+			ix = slpmatch.NewIndex(s.dEVA())
+		}
+		s.index = &Index{ix: ix}
+	})
+	return s.index, nil
 }
 
 // Warm runs the preprocessing for a document (linear in its SLP size;
@@ -160,12 +168,12 @@ func (ix *Index) WarmParallel(d *Document, workers int) {
 // WarmStats reports the work one WarmDelta call did: nodes recomputed
 // (the O(log d) edit spine), distinct cached subtree roots reused, and
 // nodes already cached before the call. It aliases the slpmatch type so
-// the counters stay per-core comparable across layers.
+// the counters stay comparable across layers.
 type WarmStats = slpmatch.WarmStats
 
 // WarmDelta brings the index up to date after a CDE edit that turned old
 // into cur: only the O(log d) fresh spine nodes are recomputed; every
-// subtree cur shares with old is reused through the cache. When the
+// subtree cur shares with old is reused through the index's tables. When the
 // index's exact counter has been used (ExactCount), its count matrices
 // are maintained too, so live counts stay one cache hit away. A nil old
 // document warms cur from whatever is cached.
@@ -182,7 +190,7 @@ func (ix *Index) WarmDelta(old, cur *Document) WarmStats {
 }
 
 // WarmDB preprocesses every document of a database. Nodes shared between
-// documents are computed exactly once (they hit the shared cache), and
+// documents are computed exactly once (they hit the index's table), and
 // each document's fresh nodes are computed bottom-up in parallel.
 func (ix *Index) WarmDB(db *DocDB, workers int) {
 	for _, name := range db.Names() {
@@ -220,8 +228,10 @@ func (ix *Index) NonEmpty(d *Document) bool { return ix.ix.NonEmpty(d.Node()) }
 func (ix *Index) ExactCount(d *Document) *big.Int {
 	ct := ix.counter.Load()
 	if ct == nil {
-		ct = slpmatch.NewCounter(ix.ix.DEVA())
-		ix.counter.Store(ct)
+		// A racing first call builds a counter too; one wins, and every
+		// caller counts — and WarmDelta maintains — on the winner.
+		ix.counter.CompareAndSwap(nil, slpmatch.NewCounter(ix.ix.DEVA()))
+		ct = ix.counter.Load()
 	}
 	return ct.Count(d.Node())
 }
@@ -254,19 +264,41 @@ func (q *Query) CountCompressedContext(ctx context.Context, d *Document) (int, e
 	return q.CountSource(ctx, Compressed(d, nil))
 }
 
-// Index builds a compressed-evaluation index for the query, available
+// Index returns the query's compressed-evaluation index, available
 // exactly when the planner collapses the whole query into one regular
 // scan (a single fused vset-automaton) — the plan shape the logarithmic-
-// delay compressed enumeration of Section 4.2 requires. Queries with
-// residual algebra (unfusable joins, selections, refl scans) return an
-// error; they can still evaluate on compressed documents with
-// EvalCompressed.
+// delay compressed enumeration of Section 4.2 requires. It is the index
+// EvalCompressed, EnumerateCompressed and CountCompressed use, built
+// once per query. Queries with residual algebra (unfusable joins,
+// selections, refl scans) return an error; they can still evaluate on
+// compressed documents with EvalCompressed.
 func (q *Query) Index() (*Index, error) {
-	nfa, ok := q.plan().SingleScan()
+	if ix := q.index.Load(); ix != nil {
+		return ix, nil
+	}
+	pix, ok := q.plan().Index()
 	if !ok {
 		return nil, fmt.Errorf("docspanner: Query.Index needs a plan that fuses to a single regular scan (plan:\n%s)", q.Explain())
 	}
-	return &Index{ix: slpmatch.NewIndex(automata.DeterminizeCached(nfa))}, nil
+	// pix is the same instance on every call; a racing first call wraps
+	// it too, and one wrapper — one exact counter — wins.
+	q.index.CompareAndSwap(nil, &Index{ix: pix})
+	return q.index.Load(), nil
+}
+
+// Flush empties, in place, the per-node tables the query has built over
+// compressed documents — the index's and its exact counter's — releasing
+// the data of every document seen so far; it builds nothing. Safe while
+// other goroutines evaluate, warm or count on the same query: they
+// recompute what they miss, and everything that holds the query's Index
+// keeps sharing one table set afterwards.
+func (q *Query) Flush() {
+	q.plan().Flush()
+	if ix := q.index.Load(); ix != nil {
+		if ct := ix.counter.Load(); ct != nil {
+			ct.Flush()
+		}
+	}
 }
 
 // WriteTo serializes the database (the shared SLP DAG plus document

@@ -103,6 +103,9 @@ type Spanner struct {
 
 	planOnce sync.Once
 	planned  *plan.Planned
+
+	indexOnce sync.Once
+	index     *Index
 }
 
 // Compile parses and compiles a spanner pattern, e.g.
@@ -161,10 +164,10 @@ func (s *Spanner) semantics() vset.Semantics {
 	return vset.Functional
 }
 
-// dEVA determinizes the automaton (query complexity only), memoized in
-// the global hash-consed DEVA cache keyed on the immutable NFA: a
-// compiled spanner shared across goroutines — and every query plan
-// scanning the same automaton — determinizes exactly once.
+// dEVA determinizes the automaton (query complexity only), memoized on
+// the immutable NFA: a compiled spanner shared across goroutines — and
+// every query plan scanning the same automaton — determinizes exactly
+// once.
 func (s *Spanner) dEVA() *automata.DEVA {
 	return automata.DeterminizeCached(s.nfa)
 }

@@ -215,10 +215,13 @@ func joinStrings(ps []*Plan, sep string) string {
 	return strings.Join(parts, sep)
 }
 
-// Fingerprint returns a structural identity string for hash-consing
-// plans. Automata and external spanners are identified by pointer —
-// both are immutable once published, so pointer equality is sound (and
-// is the same keying discipline as the compiled-kernel caches).
+// Fingerprint returns a structural identity string. Automata and
+// external spanners are identified by address, which identifies them
+// only while they are reachable: compare fingerprints of nodes of live
+// plans (the planner's pass change detection, the sibling comparison in
+// DedupUnions), and never keep one as a key — a fused plan drops its
+// operand automata and the allocator hands their addresses to the next
+// query's.
 func (p *Plan) Fingerprint() string {
 	var sb strings.Builder
 	p.fingerprint(&sb)

@@ -3,7 +3,6 @@ package automata
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"docspanner/internal/refwords"
 )
@@ -15,9 +14,9 @@ import (
 // of the survey) re-derived its per-letter Boolean matrices for every new
 // Matcher. CompileNFA and CompileDEVA flatten an automaton — once it is
 // fully built — into dense per-letter arrays and matrices; the Compiled
-// accessors hash-cons the result per automaton instance, so every
-// matcher, index, and enumerator over the same automaton shares one
-// compilation.
+// accessors keep the result on the automaton it was derived from, so
+// every matcher, index, and enumerator over the same automaton shares one
+// compilation and the compilation is collectable with the automaton.
 //
 // A compiled automaton is immutable and safe for concurrent use. The
 // source automaton must not be mutated after its first compilation.
@@ -121,17 +120,12 @@ func (c *CompiledDEVA) StepsFor(b byte) []int32 {
 	return c.step[int(li)*c.NQ : (int(li)+1)*c.NQ]
 }
 
-var compiledDEVAs sync.Map // *DEVA → *CompiledDEVA
-
-// Compiled returns the hash-consed dense compilation of d, building it
-// on first use. All callers over one DEVA share the same compilation;
-// d must not be mutated after the first call.
+// Compiled returns the dense compilation of d, building it on first
+// use. All callers over one DEVA share the same compilation; d must not
+// be mutated after the first call.
 func (d *DEVA) Compiled() *CompiledDEVA {
-	if v, ok := compiledDEVAs.Load(d); ok {
-		return v.(*CompiledDEVA)
-	}
-	v, _ := compiledDEVAs.LoadOrStore(d, CompileDEVA(d))
-	return v.(*CompiledDEVA)
+	d.compiledOnce.Do(func() { d.compiled = CompileDEVA(d) })
+	return d.compiled
 }
 
 // CompiledNFA holds the per-letter reachability matrices of a plain NFA
@@ -213,25 +207,9 @@ func CompileNFA(n *NFA) (*CompiledNFA, error) {
 // automaton — no transition reads them, so nothing is reachable).
 func (c *CompiledNFA) LetterMatrix(b byte) *BoolMatrix { return c.mats[b] }
 
-var compiledNFAs sync.Map // *NFA → *CompiledNFA
-
-// CompiledMatrices returns the hash-consed matrix compilation of n,
-// building it on first use; n must not be mutated after the first call.
+// CompiledMatrices returns the matrix compilation of n, building it on
+// first use; n must not be mutated after the first call.
 func (n *NFA) CompiledMatrices() (*CompiledNFA, error) {
-	if v, ok := compiledNFAs.Load(n); ok {
-		return v.(*CompiledNFA), nil
-	}
-	c, err := CompileNFA(n)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := compiledNFAs.LoadOrStore(n, c)
-	return v.(*CompiledNFA), nil
-}
-
-// ResetCompiledCaches drops every hash-consed compilation (tests and
-// long-lived processes that discard automata).
-func ResetCompiledCaches() {
-	compiledDEVAs.Range(func(k, _ any) bool { compiledDEVAs.Delete(k); return true })
-	compiledNFAs.Range(func(k, _ any) bool { compiledNFAs.Delete(k); return true })
+	n.matsOnce.Do(func() { n.mats, n.matsErr = CompileNFA(n) })
+	return n.mats, n.matsErr
 }

@@ -23,6 +23,10 @@ type DEVA struct {
 	Final   []bool
 	Letters []map[byte]int
 	Masks   []map[Mask]int
+
+	// compiled is the dense compilation (Compiled), built once.
+	compiledOnce sync.Once
+	compiled     *CompiledDEVA
 }
 
 // NumStates returns the number of states.
@@ -189,38 +193,15 @@ func Determinize(n *NFA) *DEVA {
 	return d
 }
 
-// devaCache memoizes Determinize per NFA identity. NFAs are immutable once
-// built (every construction in this package returns a fresh automaton and
-// nothing mutates a published one), so the pointer is a sound cache key —
-// the same idiom as the compiled-kernel and slpmatch caches. Each entry
-// holds its own sync.Once so concurrent first calls determinize exactly
-// once and later callers never block behind an unrelated automaton.
-var devaCache sync.Map // *NFA -> *devaHolder
-
-type devaHolder struct {
-	once sync.Once
-	d    *DEVA
-}
-
-// DeterminizeCached is Determinize with the result hash-consed per NFA
-// pointer. The facade's lazy spanner determinization, the query planner's
-// scan backends, and the compressed-evaluation indexes all go through this
-// entry point, so a given automaton is determinized at most once per
-// process no matter which evaluation path touches it first.
+// DeterminizeCached is Determinize with the result kept on the NFA: the
+// facade's lazy spanner determinization, the query planner's scan
+// backends, and the compressed-evaluation indexes all go through this
+// entry point, so an automaton is determinized at most once, whichever
+// evaluation path touches it first, and the DEVA is collectable with it.
+// n must not be mutated after the first call.
 func DeterminizeCached(n *NFA) *DEVA {
-	v, _ := devaCache.LoadOrStore(n, &devaHolder{})
-	h := v.(*devaHolder)
-	h.once.Do(func() { h.d = Determinize(n) })
-	return h.d
-}
-
-// ResetDEVACache drops the memoized determinizations (tests and
-// long-running processes that churn through many distinct automata).
-func ResetDEVACache() {
-	devaCache.Range(func(k, _ any) bool {
-		devaCache.Delete(k)
-		return true
-	})
+	n.devaOnce.Do(func() { n.deva = Determinize(n) })
+	return n.deva
 }
 
 // AcceptsExtended runs the DEVA on an extended word: doc plus a mask for

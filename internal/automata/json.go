@@ -178,6 +178,7 @@ func (n *NFA) UnmarshalJSON(data []byte) error {
 		}
 		fresh.AddRef(r.From, spans.Var(r.Var), r.To)
 	}
-	*n = *fresh
+	n.Vars, n.Start, n.Final = fresh.Vars, fresh.Start, fresh.Final
+	n.Eps, n.Letters, n.Markers, n.Refs = fresh.Eps, fresh.Letters, fresh.Markers, fresh.Refs
 	return nil
 }

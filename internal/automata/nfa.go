@@ -12,6 +12,7 @@ package automata
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"docspanner/internal/refwords"
 	"docspanner/internal/spans"
@@ -37,6 +38,15 @@ type NFA struct {
 	// regular-spanner algorithms require Refs to be empty; HasRefs tells
 	// them apart.
 	Refs []map[spans.Var][]int
+
+	// What evaluation derives from a finished automaton lives and dies
+	// with it: the determinization (DeterminizeCached) and the Boolean
+	// matrix compilation (CompiledMatrices), each built once.
+	devaOnce sync.Once
+	deva     *DEVA
+	matsOnce sync.Once
+	mats     *CompiledNFA
+	matsErr  error
 }
 
 // NewNFA returns an empty automaton over the given variables with a single

@@ -36,8 +36,8 @@ const (
 // document) pair. After NewEnumerator returns, the tables are read-only:
 // Each, Count, and All may run concurrently from multiple goroutines, and
 // several Enumerators may share one DEVA (which Determinize returns fully
-// built and is never mutated here; its dense compilation is hash-consed
-// across Enumerators).
+// built and is never mutated here; its dense compilation is built once
+// and shared by its Enumerators).
 type Enumerator struct {
 	d   *automata.DEVA
 	c   *automata.CompiledDEVA

@@ -131,8 +131,8 @@ func FuzzPlanRewrite(f *testing.F) {
 			}
 			want := expr.Eval(doc, sem)
 			for _, opts := range []Options{
-				{Schemaless: schemaless, NoCache: true},
-				{Schemaless: schemaless, ReflRewrite: true, NoCache: true},
+				{Schemaless: schemaless},
+				{Schemaless: schemaless, ReflRewrite: true},
 			} {
 				pl := New(expr, opts)
 				for _, in := range []struct {

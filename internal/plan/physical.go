@@ -2,6 +2,7 @@ package plan
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"docspanner/internal/algebra"
 	"docspanner/internal/automata"
@@ -100,11 +101,29 @@ func stopAware(f func(spans.Tuple) bool, stopped *bool) func(spans.Tuple) bool {
 	}
 }
 
-// scanPhys runs a single vset-automaton.
+// scanPhys runs a single vset-automaton. A constant-delay scan owns its
+// deterministic automaton and its one compressed-evaluation index, each
+// built on first use: every evaluation of the plan — and whoever takes
+// the index through Planned.Index — works on the same tables.
 type scanPhys struct {
 	plan       *algebra.Plan
 	functional bool
 	naive      bool
+
+	devaOnce sync.Once
+	deva     *automata.DEVA
+	ixOnce   sync.Once
+	ix       atomic.Pointer[slpmatch.Index] // stored under ixOnce; Flush peeks without building
+}
+
+func (s *scanPhys) dEVA() *automata.DEVA {
+	s.devaOnce.Do(func() { s.deva = automata.DeterminizeCached(s.plan.Auto) })
+	return s.deva
+}
+
+func (s *scanPhys) index() *slpmatch.Index {
+	s.ixOnce.Do(func() { s.ix.Store(slpmatch.NewIndex(s.dEVA())) })
+	return s.ix.Load()
 }
 
 func (s *scanPhys) lp() *algebra.Plan    { return s.plan }
@@ -138,10 +157,9 @@ func (s *scanPhys) each(src Source, f func(spans.Tuple) bool) bool {
 	if s.naive {
 		return eachOf(s.eval(src), f)
 	}
-	d := automata.DeterminizeCached(s.plan.Auto)
 	stopped := false
 	if src.text != nil {
-		slpmatch.NewIndex(d).Each(src.root, func(t spans.Tuple) bool {
+		s.index().Each(src.root, func(t spans.Tuple) bool {
 			if s.functional && !t.TotalOn(s.plan.Auto.Vars) {
 				return true
 			}
@@ -150,7 +168,7 @@ func (s *scanPhys) each(src Source, f func(spans.Tuple) bool) bool {
 		})
 		return !stopped
 	}
-	e := enum.NewEnumerator(d, src.plain)
+	e := enum.NewEnumerator(s.dEVA(), src.plain)
 	if s.functional {
 		e.EachTotal(s.plan.Auto.Vars, stopAware(f, &stopped))
 	} else {
@@ -247,8 +265,7 @@ func eachOf(r *spans.Relation, f func(spans.Tuple) bool) bool {
 }
 
 // Planned is an executable plan: the rewritten logical tree plus the
-// physical operators chosen for it. It is immutable and safe for
-// concurrent use.
+// physical operators chosen for it. It is safe for concurrent use.
 type Planned struct {
 	logical      *algebra.Plan
 	root         physNode
@@ -263,8 +280,7 @@ type Planned struct {
 // Lint runs the plan-level spanlint passes (SP009, SP010) over the
 // rewritten logical plan, configured with this plan's options so the
 // cost thresholds match what evaluation will actually do. The result is
-// computed once and cached — Planned itself is hash-consed, so a hot
-// query lints exactly once per process.
+// computed once per plan.
 func (pl *Planned) Lint() []lint.Diagnostic {
 	pl.lintOnce.Do(func() {
 		pl.lintDiags = lint.PlanDiags(pl.logical, lint.PlanConfig{
@@ -338,10 +354,10 @@ func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 		if s.functional {
 			vars = vars.Union(s.plan.Auto.Vars)
 		}
-		d := automata.DeterminizeCached(s.plan.Auto)
 		if src.text != nil {
-			return slpmatch.NewIndex(d).CountTotal(src.root, vars, poll)
+			return s.index().CountTotal(src.root, vars, poll)
 		}
+		d := s.dEVA()
 		if n, complete, ok := enum.CountTotalFast(d, src.plain, vars, poll); ok {
 			return n, complete
 		}
@@ -362,14 +378,41 @@ func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 	return n, complete
 }
 
-// SingleScan reports whether the whole plan collapsed to one regular
-// scan and, if so, returns its automaton. This is the gateway to the
-// compressed-evaluation index: a single-automaton plan can be matched
-// over SLPs with the shared matrix cache.
-func (pl *Planned) SingleScan() (*automata.NFA, bool) {
+// singleScan returns the plan's root when the whole plan collapsed to
+// one constant-delay regular scan with no root filter.
+func (pl *Planned) singleScan() (*scanPhys, bool) {
 	s, ok := pl.root.(*scanPhys)
-	if !ok || s.naive || len(pl.requireTotal) > 0 {
+	return s, ok && !s.naive && len(pl.requireTotal) == 0
+}
+
+// SingleScan reports whether the whole plan collapsed to one regular
+// scan and, if so, returns its automaton.
+func (pl *Planned) SingleScan() (*automata.NFA, bool) {
+	s, ok := pl.singleScan()
+	if !ok {
 		return nil, false
 	}
 	return s.plan.Auto, true
+}
+
+// Index returns the compressed-evaluation index of a single-scan plan
+// (ok=false for any other shape): the same instance evaluation on SLP
+// sources uses, so warming it, maintaining it across edits and flushing
+// it act on the tables Eval, Enumerate and CountPoll read.
+func (pl *Planned) Index() (*slpmatch.Index, bool) {
+	s, ok := pl.singleScan()
+	if !ok {
+		return nil, false
+	}
+	return s.index(), true
+}
+
+// Flush empties in place the tables of the plan's index, if evaluation
+// has built one; it never builds one.
+func (pl *Planned) Flush() {
+	if s, ok := pl.root.(*scanPhys); ok {
+		if ix := s.ix.Load(); ix != nil {
+			ix.Flush()
+		}
+	}
 }

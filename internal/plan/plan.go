@@ -9,10 +9,12 @@
 // determinized automaton, the materializing relational evaluation, or
 // compressed slpmatch evaluation when the input is an SLP document.
 //
-// Planning runs in query complexity only (no document involved) and its
-// result is cached: a Planned is immutable, safe for concurrent use,
-// and hash-consed per (expression structure, options) so repeated
-// queries over the same spanners plan once.
+// Planning runs in query complexity only (no document involved). A
+// Planned is safe for concurrent use and owns what evaluation derives
+// from it — the determinized automaton and the compressed-evaluation
+// index of a constant-delay scan — so a caller that keeps the plan (the
+// facade keeps one per query) plans, determinizes and indexes once, and
+// dropping the plan frees all of it.
 package plan
 
 import (
@@ -62,7 +64,8 @@ type Options struct {
 	// semantics: the translation is evaluated schemaless inside and
 	// filtered at the root.
 	RequireTotal spans.VarSet
-	// NoCache bypasses the global plan cache (tests).
+	// NoCache has no effect: New always builds. bench/model.go sets it,
+	// which is the only reason the field exists; delete the two together.
 	NoCache bool
 }
 
@@ -81,22 +84,20 @@ func (o Options) policy() algebra.FusePolicy {
 	}
 }
 
-func (o Options) key() string {
-	return fmt.Sprintf("%t|%t|%t|%t|%d|%d|%d|%v",
-		o.Schemaless, o.DisableRewrites, o.ReflRewrite, o.NaiveBackend,
-		o.MaxFusedStates, o.MaxNormStates, o.MaxDeterminizeStates, o.RequireTotal)
-}
-
-// New plans an algebra expression. The result is hash-consed on the
-// expression's structural fingerprint (automata by pointer identity)
-// and the options, so planning a query twice — or sharing compiled
-// spanners across queries — pays once.
+// New plans an algebra expression: lower, rewrite, select backends.
 func New(e algebra.Expr, opts Options) *Planned {
-	if opts.NoCache {
-		return build(e, opts)
+	lp := algebra.FromExpr(e)
+	var notes []string
+	if !opts.DisableRewrites {
+		lp, notes = rewrite(lp, e, opts)
 	}
-	key := algebra.FromExpr(e).Fingerprint() + "|" + opts.key()
-	return cachedPlan(key, func() *Planned { return build(e, opts) })
+	return &Planned{
+		logical:      lp,
+		root:         buildPhys(lp, opts),
+		opts:         opts,
+		passNotes:    notes,
+		requireTotal: opts.RequireTotal,
+	}
 }
 
 // NewExternal plans a single external (e.g. refl) spanner scan. No
@@ -108,21 +109,6 @@ func NewExternal(ext algebra.ExternalSpanner, opts Options) *Planned {
 		logical:      lp,
 		root:         buildPhys(lp, opts),
 		opts:         opts,
-		requireTotal: opts.RequireTotal,
-	}
-}
-
-func build(e algebra.Expr, opts Options) *Planned {
-	lp := algebra.FromExpr(e)
-	var notes []string
-	if !opts.DisableRewrites {
-		lp, notes = rewrite(lp, e, opts)
-	}
-	return &Planned{
-		logical:      lp,
-		root:         buildPhys(lp, opts),
-		opts:         opts,
-		passNotes:    notes,
 		requireTotal: opts.RequireTotal,
 	}
 }

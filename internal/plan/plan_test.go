@@ -7,6 +7,7 @@ import (
 	"docspanner/internal/algebra"
 	"docspanner/internal/automata"
 	"docspanner/internal/regex"
+	"docspanner/internal/slp"
 	"docspanner/internal/spans"
 	"docspanner/internal/vset"
 )
@@ -51,14 +52,14 @@ func TestLintDrivenJoinPrune(t *testing.T) {
 	// Disjoint languages: the lint product automaton is empty, and under
 	// functional semantics that licenses pruning the join to ∅.
 	e := algebra.Join{L: prim(t, "!x{a}"), R: prim(t, "!x{b}")}
-	pl := New(e, Options{NoCache: true})
+	pl := New(e, Options{})
 	if pl.Logical().Kind != algebra.PEmpty {
 		t.Fatalf("provably empty join not pruned:\n%s", pl.Explain())
 	}
 	if !strings.Contains(pl.Explain(), "SP003") {
 		t.Errorf("prune provenance missing lint code:\n%s", pl.Explain())
 	}
-	checkAgainstNaive(t, e, Options{NoCache: true}, "", "a", "b", "ab")
+	checkAgainstNaive(t, e, Options{}, "", "a", "b", "ab")
 }
 
 func TestLintPruneGuardedUnderSchemaless(t *testing.T) {
@@ -68,40 +69,40 @@ func TestLintPruneGuardedUnderSchemaless(t *testing.T) {
 	// everything). The planner must refuse the prune because v is not
 	// always bound on the left.
 	e := algebra.Join{L: prim(t, "(!v{a}|b)"), R: prim(t, "!v{b}")}
-	pl := New(e, Options{Schemaless: true, NoCache: true})
+	pl := New(e, Options{Schemaless: true})
 	if pl.Logical().Kind == algebra.PEmpty {
 		t.Fatalf("unsound schemaless lint prune applied:\n%s", pl.Explain())
 	}
-	checkAgainstNaive(t, e, Options{Schemaless: true, NoCache: true}, "", "a", "b", "ab", "ba")
+	checkAgainstNaive(t, e, Options{Schemaless: true}, "", "a", "b", "ab", "ba")
 }
 
 func TestDuplicateUnionElimination(t *testing.T) {
 	e := algebra.Union{L: prim(t, "!x{a+}"), R: prim(t, "!x{aa*}")}
-	pl := New(e, Options{NoCache: true})
+	pl := New(e, Options{})
 	if got := pl.Logical().Kind; got != algebra.PScan {
 		t.Fatalf("duplicate union branches not eliminated (kind %v):\n%s", got, pl.Explain())
 	}
 	if !strings.Contains(pl.Explain(), "SP008") {
 		t.Errorf("dedup provenance missing:\n%s", pl.Explain())
 	}
-	checkAgainstNaive(t, e, Options{NoCache: true}, "", "a", "aa", "ab")
+	checkAgainstNaive(t, e, Options{}, "", "a", "aa", "ab")
 }
 
 func TestReflRewrite(t *testing.T) {
 	e := algebra.SelectEq{Sub: prim(t, "!x{a+}b!y{a+}"), Z: spans.NewVarSet("x", "y")}
-	pl := New(e, Options{ReflRewrite: true, NoCache: true})
+	pl := New(e, Options{ReflRewrite: true})
 	if pl.Logical().Kind != algebra.PExtScan {
 		t.Fatalf("refl rewrite did not apply:\n%s", pl.Explain())
 	}
 	if !strings.Contains(pl.Explain(), "SP007") {
 		t.Errorf("refl rewrite provenance missing:\n%s", pl.Explain())
 	}
-	checkAgainstNaive(t, e, Options{ReflRewrite: true, NoCache: true},
+	checkAgainstNaive(t, e, Options{ReflRewrite: true},
 		"", "aba", "aabaa", "ab", "aabab")
 
 	// Under schemaless semantics the translation's equivalence is not
 	// established; the pass must not run.
-	pls := New(e, Options{ReflRewrite: true, Schemaless: true, NoCache: true})
+	pls := New(e, Options{ReflRewrite: true, Schemaless: true})
 	if pls.Logical().Kind == algebra.PExtScan {
 		t.Fatalf("refl rewrite applied under schemaless semantics:\n%s", pls.Explain())
 	}
@@ -109,43 +110,43 @@ func TestReflRewrite(t *testing.T) {
 
 func TestFusionCollapsesToSingleScan(t *testing.T) {
 	e := algebra.Union{L: prim(t, "!x{a}b"), R: prim(t, "a!x{b}")}
-	pl := New(e, Options{NoCache: true})
+	pl := New(e, Options{})
 	if _, ok := pl.SingleScan(); !ok {
 		t.Fatalf("fusable union did not collapse to a single scan:\n%s", pl.Explain())
 	}
 	if !pl.Streaming() {
 		t.Error("single-scan plan not streaming")
 	}
-	checkAgainstNaive(t, e, Options{NoCache: true}, "", "ab", "ba", "abab")
+	checkAgainstNaive(t, e, Options{}, "", "ab", "ba", "abab")
 }
 
 func TestDisableRewritesMirrorsExpression(t *testing.T) {
 	e := algebra.Union{L: prim(t, "!x{a+}"), R: prim(t, "!x{aa*}")}
-	pl := New(e, Options{DisableRewrites: true, NoCache: true})
+	pl := New(e, Options{DisableRewrites: true})
 	if pl.Logical().Kind != algebra.PUnion {
 		t.Fatalf("rewrites ran despite DisableRewrites:\n%s", pl.Explain())
 	}
 	if !strings.Contains(pl.Explain(), "rewrites: disabled") {
 		t.Errorf("Explain does not report disabled rewrites:\n%s", pl.Explain())
 	}
-	checkAgainstNaive(t, e, Options{DisableRewrites: true, NoCache: true}, "", "a", "aa")
+	checkAgainstNaive(t, e, Options{DisableRewrites: true}, "", "a", "aa")
 }
 
 func TestNaiveBackendSelection(t *testing.T) {
 	e := prim(t, "!x{a+}")
-	pl := New(e, Options{NaiveBackend: true, DisableRewrites: true, NoCache: true})
+	pl := New(e, Options{NaiveBackend: true, DisableRewrites: true})
 	if !strings.Contains(pl.Explain(), "nfa-search") {
 		t.Errorf("naive backend not selected:\n%s", pl.Explain())
 	}
 	if pl.Streaming() {
 		t.Error("naive scan reported as streaming")
 	}
-	checkAgainstNaive(t, e, Options{NaiveBackend: true, DisableRewrites: true, NoCache: true}, "", "a", "aa")
+	checkAgainstNaive(t, e, Options{NaiveBackend: true, DisableRewrites: true}, "", "a", "aa")
 }
 
 func TestRequireTotalFiltersRoot(t *testing.T) {
 	e := prim(t, "(!x{a}|b)")
-	pl := New(e, Options{Schemaless: true, RequireTotal: spans.NewVarSet("x"), NoCache: true})
+	pl := New(e, Options{Schemaless: true, RequireTotal: spans.NewVarSet("x")})
 	got := pl.Eval(Text([]byte("ab")))
 	want := vset.Eval(e.(algebra.Prim).A, []byte("ab"), vset.Functional)
 	if !got.Equal(want) {
@@ -153,29 +154,47 @@ func TestRequireTotalFiltersRoot(t *testing.T) {
 	}
 }
 
-func TestPlanCacheSharesPlans(t *testing.T) {
-	ResetCache()
-	e := algebra.Union{L: prim(t, "!x{a}"), R: prim(t, "!x{b}")}
-	p1 := New(e, Options{})
-	p2 := New(e, Options{})
-	if p1 != p2 {
-		t.Error("identical (expr, options) did not share a plan")
+// TestPlanOwnsItsIndex: a single-scan plan hands out one index, the one
+// its own evaluation on an SLP source reads and fills; plans of other
+// shapes have none, and two plans of one expression are two plans.
+func TestPlanOwnsItsIndex(t *testing.T) {
+	e := algebra.Union{L: prim(t, "a*!x{a}a*"), R: prim(t, "b*!x{b}b*")}
+	pl := New(e, Options{})
+	ix, ok := pl.Index()
+	if !ok {
+		t.Fatalf("fused union has no index:\n%s", pl.Explain())
 	}
-	if p3 := New(e, Options{Schemaless: true}); p3 == p1 {
-		t.Error("different options shared a plan")
+	if ix2, _ := pl.Index(); ix2 != ix {
+		t.Error("Index built a second instance")
 	}
-	ResetCache()
+	if n := ix.CachedNodes(); n != 0 {
+		t.Fatalf("fresh index has %d cached nodes", n)
+	}
+	root := slp.Repeat(slp.FromBytes([]byte("a")), 16)
+	if got, _ := pl.CountPoll(SLP(root, nil), nil); got != 16 {
+		t.Errorf("Count = %d, want 16", got)
+	}
+	if ix.CachedNodes() == 0 {
+		t.Error("evaluation on an SLP source did not fill the plan's index")
+	}
+	if New(e, Options{}) == pl {
+		t.Error("New returned an earlier plan")
+	}
+	sel := algebra.SelectEq{Sub: prim(t, "!x{a+}b!y{a+}"), Z: spans.NewVarSet("x", "y")}
+	if _, ok := New(sel, Options{}).Index(); ok {
+		t.Error("a plan with a residual selection handed out an index")
+	}
 }
 
 func TestCountAndEnumerate(t *testing.T) {
 	e := algebra.Union{L: prim(t, "!x{a}"), R: prim(t, "!x{b}")}
-	pl := New(e, Options{NoCache: true})
+	pl := New(e, Options{})
 	if got, _ := pl.CountPoll(Text([]byte("a")), nil); got != 1 {
 		t.Errorf("Count = %d", got)
 	}
 	// Two matches of a on aa; early termination stops after the first.
 	e2 := prim(t, "a*!x{a}a*")
-	pl2 := New(e2, Options{NoCache: true})
+	pl2 := New(e2, Options{})
 	if got, _ := pl2.CountPoll(Text([]byte("aa")), nil); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}

@@ -1,0 +1,105 @@
+package server
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"docspanner/internal/slpmatch"
+)
+
+// TestFlushKeepsOneTableSet: /admin/flush-caches empties a query's
+// tables in place, so the live view and /eval go on sharing them — the
+// second toucher of a document adds no matrix-cache misses — and the
+// process-wide counters never rewind.
+func TestFlushKeepsOneTableSet(t *testing.T) {
+	s := newTestServer(t, Config{})
+	do(t, s, "PUT", "/docs/d?compress=1", strings.Repeat("abba", 200))
+	do(t, s, "PUT", "/queries/q", `{"src": ".*!x{ab}.*"}`)
+	code, _ := do(t, s, "PUT", "/docs/d/views/q", "")
+	mustStatus(t, code, 201, "view put")
+
+	misses := func() uint64 { _, m := slpmatch.CacheStats(); return m }
+	edit := func() uint64 { // one edit and its view refresh; returns the nodes it missed
+		m := misses()
+		code, _ := do(t, s, "POST", "/docs/d/edit", `{"expr": "concat(d, extract(d, 1, 2))"}`)
+		mustStatus(t, code, 200, "edit")
+		return misses() - m
+	}
+	warm := edit()
+
+	h0, _ := slpmatch.CacheStats()
+	r0, u0 := slpmatch.WarmDeltaStats()
+	code, _ = do(t, s, "POST", "/admin/flush-caches", "")
+	mustStatus(t, code, 200, "flush")
+
+	// The next edit's view refresh is the first toucher: it refills the
+	// flushed tables for the new version.
+	cold := edit()
+	if cold <= warm {
+		t.Errorf("view refresh missed %d nodes after a flush, %d before: the flush did not empty the view's tables", cold, warm)
+	}
+	h1, m1 := slpmatch.CacheStats()
+	r1, u1 := slpmatch.WarmDeltaStats()
+	if h1 < h0 || r1 <= r0 || u1 < u0 {
+		t.Errorf("counters rewound across a flush: hits %d -> %d, warm totals (%d,%d) -> (%d,%d)", h0, h1, r0, u0, r1, u1)
+	}
+
+	code, body := do(t, s, "GET", "/eval?query=q&doc=d&content=0", "")
+	mustStatus(t, code, 200, "eval")
+	if body["count"] != float64(202) {
+		t.Fatalf("eval after flush and edits: count %v, want 202", body["count"])
+	}
+	if _, m2 := slpmatch.CacheStats(); m2 != m1 {
+		t.Errorf("/eval after the view's refresh missed %d nodes: view and /eval hold different tables", m2-m1)
+	}
+}
+
+// TestDeletedQueriesAreCollected: registering, evaluating and deleting
+// a query leaves nothing of it on the heap, on plain and on compressed
+// documents.
+func TestDeletedQueriesAreCollected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	text := strings.Repeat("abbabaabbbaababbaaab", 90)
+	do(t, s, "PUT", "/docs/plain", text)
+	do(t, s, "PUT", "/docs/slp?compress=1", text)
+	word := func(i int) string {
+		var sb strings.Builder
+		for k := 0; k < 8; k++ {
+			sb.WriteByte("ab"[(i>>k)&1])
+		}
+		return sb.String()
+	}
+	cycle := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			code, _ := do(t, s, "PUT", "/queries/q", fmt.Sprintf(`{"src": ".*!x{%s}.*", "alphabet": "ab"}`, word(i)))
+			mustStatus(t, code, 200, "register")
+			for _, target := range []string{"/eval?query=q&doc=plain&content=0", "/count?query=q&doc=plain", "/eval?query=q&doc=slp&content=0", "/count?query=q&doc=slp"} {
+				code, _ = do(t, s, "GET", target, "")
+				mustStatus(t, code, 200, target)
+			}
+			code, _ = do(t, s, "DELETE", "/queries/q", "")
+			mustStatus(t, code, 200, "delete")
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // sync.Pool contents survive one cycle
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const (
+		cycles      = 100
+		perCycleMax = 4 << 10
+	)
+	cycle(0, 8) // pools, metric series, lazily built package state
+	before := liveHeap()
+	cycle(8, cycles)
+	after := liveHeap()
+	if grown := int64(after) - int64(before); grown > cycles*perCycleMax {
+		t.Errorf("live heap grew by %d bytes over %d register/evaluate/delete cycles (%d per cycle, want < %d)",
+			grown, cycles, grown/cycles, perCycleMax)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"docspanner/internal/plan"
 	"docspanner/internal/slpmatch"
 	"docspanner/internal/storage"
 )
@@ -240,19 +239,7 @@ func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.St
 	fmt.Fprintf(w, "# TYPE spannerd_warm_memo_reuse_ratio gauge\n")
 	fmt.Fprintf(w, "spannerd_warm_memo_reuse_ratio %s\n", rate(wu, wr))
 
-	// Process-wide shared caches: the hash-consed plan cache and the
-	// slpmatch per-SLP-node matrix cache.
-	ph, pm := plan.CacheStats()
-	fmt.Fprintf(w, "# HELP spannerd_plan_cache_hits_total Plan-cache hits (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_plan_cache_hits_total counter\n")
-	fmt.Fprintf(w, "spannerd_plan_cache_hits_total %d\n", ph)
-	fmt.Fprintf(w, "# HELP spannerd_plan_cache_misses_total Plan-cache misses (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_plan_cache_misses_total counter\n")
-	fmt.Fprintf(w, "spannerd_plan_cache_misses_total %d\n", pm)
-	fmt.Fprintf(w, "# HELP spannerd_plan_cache_hit_rate Plan-cache hit rate since process start.\n")
-	fmt.Fprintf(w, "# TYPE spannerd_plan_cache_hit_rate gauge\n")
-	fmt.Fprintf(w, "spannerd_plan_cache_hit_rate %s\n", rate(ph, pm))
-
+	// The per-SLP-node tables of every index in the process.
 	mh, mm := slpmatch.CacheStats()
 	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_hits_total slpmatch per-SLP-node matrix cache hits (process-wide).\n")
 	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_hits_total counter\n")
@@ -263,9 +250,6 @@ func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.St
 	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_hit_rate slpmatch matrix-cache hit rate since process start.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_hit_rate gauge\n")
 	fmt.Fprintf(w, "spannerd_matrix_cache_hit_rate %s\n", rate(mh, mm))
-	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_cores Live shared slpmatch cores (one per automaton in use).\n")
-	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_cores gauge\n")
-	fmt.Fprintf(w, "spannerd_matrix_cache_cores %d\n", slpmatch.Cores())
 }
 
 // writeStorageProm renders the durability backend's counters: WAL

@@ -151,9 +151,8 @@ func (r *registry) prepare(name string, spec querySpec, lint bool) (*preparedQue
 		}
 	}
 
-	// Plan now (hash-consed through the shared plan cache), so the first
-	// evaluation pays no planning latency and a plan-level failure
-	// surfaces at registration.
+	// Plan now, so the first evaluation pays no planning latency and a
+	// plan-level failure surfaces at registration.
 	_ = q.Streaming()
 	return &preparedQuery{name: name, src: spec.Src, query: q, diags: diags}, nil
 }
@@ -255,6 +254,16 @@ func (r *registry) list() []queryInfo {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// flush empties, in place, the compressed-evaluation tables of every
+// registered query.
+func (r *registry) flush() {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, p := range r.m {
+		p.query.Flush()
+	}
 }
 
 func (r *registry) len() int {

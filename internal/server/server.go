@@ -5,8 +5,9 @@
 // registration), evaluation endpoints — materialized, counting,
 // NDJSON streaming off the constant-delay enumerator, and batch over
 // document sets on a worker pool — plus live metrics (/metrics, /varz,
-// /healthz) exposing per-query latency histograms and the hit rates of
-// the shared plan and SLP matrix caches.
+// /healthz) exposing per-query latency histograms and the hit rate of
+// the SLP matrix tables. A registered query owns everything derived from
+// it; unregistering it frees all of it.
 package server
 
 import (
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"docspanner"
-	"docspanner/internal/plan"
 	"docspanner/internal/slpmatch"
 	"docspanner/internal/storage"
 	"docspanner/internal/views"
@@ -369,28 +369,23 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 		first = false
 		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
 	})
-	ph, pm := plan.CacheStats()
 	mh, mm := slpmatch.CacheStats()
 	wr, wu := slpmatch.WarmDeltaStats()
 	own, _ := json.Marshal(map[string]any{
-		"docs":               s.store.len(),
-		"queries":            s.queries.len(),
-		"views":              s.views.Len(),
-		"view_refreshes":     s.metrics.viewRefreshes.Load(),
-		"sync_failures":      s.metrics.syncFailures.Load(),
-		"warm_recomputed":    wr,
-		"warm_reused":        wu,
-		"grammar_nodes":      s.store.grammarSize(),
-		"inflight":           s.metrics.inflight.Load(),
-		"rejected":           s.metrics.rejected.Load(),
-		"timeouts":           s.metrics.timeouts.Load(),
-		"disconnects":        s.metrics.disconnects.Load(),
-		"plan_cache_hits":    ph,
-		"plan_cache_misses":  pm,
-		"plan_cache_size":    plan.CacheLen(),
-		"matrix_cache_hits":  mh,
-		"matrix_cache_miss":  mm,
-		"matrix_cache_cores": slpmatch.Cores(),
+		"docs":              s.store.len(),
+		"queries":           s.queries.len(),
+		"views":             s.views.Len(),
+		"view_refreshes":    s.metrics.viewRefreshes.Load(),
+		"sync_failures":     s.metrics.syncFailures.Load(),
+		"warm_recomputed":   wr,
+		"warm_reused":       wu,
+		"grammar_nodes":     s.store.grammarSize(),
+		"inflight":          s.metrics.inflight.Load(),
+		"rejected":          s.metrics.rejected.Load(),
+		"timeouts":          s.metrics.timeouts.Load(),
+		"disconnects":       s.metrics.disconnects.Load(),
+		"matrix_cache_hits": mh,
+		"matrix_cache_miss": mm,
 	})
 	if !first {
 		fmt.Fprintf(w, ",\n")
@@ -400,12 +395,10 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 }
 
 func (s *Server) handleFlushCaches(w http.ResponseWriter, _ *http.Request) error {
-	// Safe while evaluations are in flight: plan.ResetCache only empties
-	// the hash-consing table (planned queries keep their plans), and
-	// slpmatch.ResetCaches detaches the shared cores — instances built
-	// before the flush keep theirs (see the ResetCaches contract).
-	plan.ResetCache()
-	slpmatch.ResetCaches()
+	// Safe while evaluations and view refreshes are in flight: the tables
+	// are emptied in place, so a live view and /eval keep sharing the
+	// query's one table set afterwards (see docspanner.Query.Flush).
+	s.queries.flush()
 	writeJSON(w, 200, map[string]string{"status": "flushed"})
 	return nil
 }

@@ -402,9 +402,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	mustStatus(t, rec.Code, 200, "metrics")
 	text := rec.Body.String()
 	for _, want := range []string{
-		"spannerd_plan_cache_hits_total",
-		"spannerd_plan_cache_hit_rate",
 		"spannerd_matrix_cache_hits_total",
+		"spannerd_matrix_cache_misses_total",
 		"spannerd_matrix_cache_hit_rate",
 		`spannerd_tuples_total{query="q",kind="eval"}`,
 		`spannerd_tuples_total{query="q",kind="stream"}`,
@@ -447,7 +446,7 @@ func TestHealthzAndFlush(t *testing.T) {
 	do(t, s, "GET", "/eval?query=q&doc=d", "")
 	code, _ = do(t, s, "POST", "/admin/flush-caches", "")
 	mustStatus(t, code, 200, "flush")
-	// Evaluation still works after the flush (fresh cores are built).
+	// Evaluation still works after the flush (the tables refill).
 	code, body = do(t, s, "GET", "/count?query=q&doc=d", "")
 	mustStatus(t, code, 200, "count after flush")
 	if body["count"] != float64(2) {

@@ -9,13 +9,13 @@ import (
 	"docspanner/internal/slp"
 )
 
-// Shared, concurrency-safe per-node caches. Per-SLP-node data (Boolean
+// Concurrency-safe per-node tables. Per-SLP-node data (Boolean
 // reachability matrices, pure-step vectors, count matrices) depends only
-// on the (automaton, node) pair and SLP nodes are immutable, so the memo
-// tables live in cores that are hash-consed per automaton: every
-// Matcher/Index/Counter over the same automaton shares one core, and a
-// database of d documents pays for each shared SLP node once — also
-// across goroutines.
+// on the (automaton, node) pair and SLP nodes are immutable, so each
+// Matcher/Index/Counter memoizes it in a table of its own: whoever holds
+// the instance shares the table, a database of d documents pays for each
+// shared SLP node once — also across goroutines — and the table is
+// collectable with the instance.
 //
 // The node→value tables are sharded maps under RWMutexes. Lookups of a
 // missing node release the lock, compute, and store; concurrent
@@ -24,58 +24,26 @@ import (
 
 const cacheShards = 64
 
-// Matrix-cache traffic counters. Each cache counts hits and misses per
-// shard on its own cache lines, so the hot lookup path never contends on
-// one global counter word across cores; CacheStats folds them together.
-// The counter blocks of dropped cores stay registered, keeping the sums
-// monotonic for the process lifetime: ResetCaches does not rewind them,
-// so servers can export them as Prometheus counters.
-type cacheCounters struct {
-	shards [cacheShards]struct {
-		hits   atomic.Uint64
-		misses atomic.Uint64
-		_      [48]byte // pad: one cache line per shard's counters
-	}
+// cacheTraffic counts table hits and misses for the whole process, per
+// shard on its own cache line, so the hot lookup path never contends on
+// one global counter word across cores. The sums only grow — a Flush
+// does not rewind them — so servers can export them as Prometheus
+// counters.
+var cacheTraffic [cacheShards]struct {
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	_      [48]byte // pad: one cache line per shard's counters
 }
 
-var (
-	countersMu  sync.Mutex
-	allCounters []*cacheCounters
-)
-
-func newCacheCounters() *cacheCounters {
-	c := &cacheCounters{}
-	countersMu.Lock()
-	allCounters = append(allCounters, c)
-	countersMu.Unlock()
-	return c
-}
-
-// CacheStats returns the cumulative per-SLP-node matrix-cache hit and
-// miss counts, summed over all shared cores (including cores already
-// dropped by ResetCaches). Safe to call concurrently with matching,
-// warming, and ResetCaches.
+// CacheStats returns the cumulative per-SLP-node table hit and miss
+// counts of every Matcher, Index and Counter of the process. Safe to
+// call concurrently with matching, warming, and Flush.
 func CacheStats() (hits, misses uint64) {
-	countersMu.Lock()
-	counters := allCounters
-	countersMu.Unlock()
-	for _, c := range counters {
-		for i := range c.shards {
-			hits += c.shards[i].hits.Load()
-			misses += c.shards[i].misses.Load()
-		}
+	for i := range cacheTraffic {
+		hits += cacheTraffic[i].hits.Load()
+		misses += cacheTraffic[i].misses.Load()
 	}
 	return hits, misses
-}
-
-// Cores returns the number of live shared cores (one per automaton with
-// at least one Matcher/Index/Counter built since the last ResetCaches).
-func Cores() int {
-	n := 0
-	for _, reg := range []*sync.Map{&matcherCores, &indexCores, &counterCores} {
-		reg.Range(func(_, _ any) bool { n++; return true })
-	}
-	return n
 }
 
 // nodeCache is a sharded concurrent map from SLP nodes to per-node data.
@@ -84,11 +52,10 @@ type nodeCache[V any] struct {
 		mu sync.RWMutex
 		m  map[*slp.Node]V
 	}
-	stats *cacheCounters
 }
 
 func newNodeCache[V any]() *nodeCache[V] {
-	c := &nodeCache[V]{stats: newCacheCounters()}
+	c := &nodeCache[V]{}
 	for i := range c.shards {
 		c.shards[i].m = make(map[*slp.Node]V)
 	}
@@ -110,9 +77,9 @@ func (c *nodeCache[V]) get(n *slp.Node) (V, bool) {
 	v, ok := s.m[n]
 	s.mu.RUnlock()
 	if ok {
-		c.stats.shards[i].hits.Add(1)
+		cacheTraffic[i].hits.Add(1)
 	} else {
-		c.stats.shards[i].misses.Add(1)
+		cacheTraffic[i].misses.Add(1)
 	}
 	return v, ok
 }
@@ -122,6 +89,19 @@ func (c *nodeCache[V]) put(n *slp.Node, v V) {
 	s.mu.Lock()
 	s.m[n] = v
 	s.mu.Unlock()
+}
+
+// flush empties the table in place. Safe while lookups and stores are
+// in flight: every computation holds the values it already fetched and
+// derives a missing node from its children on demand, so a flush costs
+// recomputation, never correctness.
+func (c *nodeCache[V]) flush() {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.m = make(map[*slp.Node]V)
+		s.mu.Unlock()
+	}
 }
 
 func (c *nodeCache[V]) len() int {
@@ -139,7 +119,7 @@ func (c *nodeCache[V]) len() int {
 // nodes had their per-node data computed now (the edit spine — O(log d)
 // per CDE operation on balanced SLPs), how many distinct already-warm
 // subtree roots the pruned traversal stopped at (each standing for a
-// whole reused subtree), and how many inner nodes the core had cached
+// whole reused subtree), and how many inner nodes the instance had cached
 // before the call (the data kept valid across the edit).
 type WarmStats struct {
 	// Recomputed counts inner nodes whose data was computed by this call.
@@ -148,8 +128,8 @@ type WarmStats struct {
 	// the roots of the subtrees shared with previous versions. The DAG
 	// below them was never visited — that is the incrementality.
 	Reused int
-	// CachedBefore is the number of inner nodes the shared core had data
-	// for when the call started (across all documents of the automaton).
+	// CachedBefore is the number of inner nodes the instance had data for
+	// when the call started (across all documents it has seen).
 	CachedBefore int
 }
 
@@ -160,8 +140,9 @@ func (st *WarmStats) Add(other WarmStats) {
 	st.CachedBefore += other.CachedBefore
 }
 
-// Process-wide WarmDelta totals (monotonic, survive ResetCaches) so
-// servers can export edit-maintenance work as Prometheus counters.
+// Process-wide WarmDelta totals (monotonic, a Flush does not rewind
+// them) so servers can export edit-maintenance work as Prometheus
+// counters.
 var (
 	warmRecomputedTotal atomic.Uint64
 	warmReusedTotal     atomic.Uint64
@@ -169,7 +150,7 @@ var (
 
 // WarmDeltaStats returns the cumulative nodes-recomputed and
 // nodes-reused counts over every WarmDelta call in the process, across
-// all cores (including cores since dropped by ResetCaches).
+// all instances.
 func WarmDeltaStats() (recomputed, reused uint64) {
 	return warmRecomputedTotal.Load(), warmReusedTotal.Load()
 }
@@ -180,7 +161,7 @@ func WarmDeltaStats() (recomputed, reused uint64) {
 // uncached, so the walk touches the spine plus its cached boundary and
 // nothing below it. ensure warms a baseline root first (a single cache
 // hit when oldRoot is already warm; a full warm otherwise, so WarmDelta
-// is correct — merely not incremental — on a cold core). compute must
+// is correct — merely not incremental — on a cold table). compute must
 // derive n's data from its children's (computing them on demand) and
 // store it; a stored node is never recomputed.
 //
@@ -214,35 +195,6 @@ func warmDelta(oldRoot, newRoot *slp.Node, cached func(*slp.Node) bool, ensure, 
 	warmRecomputedTotal.Add(uint64(st.Recomputed))
 	warmReusedTotal.Add(uint64(st.Reused))
 	return st
-}
-
-// Core registries: one core per automaton instance, shared by every
-// Matcher/Index/Counter built on it. The automaton must not be mutated
-// after its first use here.
-var (
-	matcherCores sync.Map // *automata.NFA  → *matcherCore
-	indexCores   sync.Map // *automata.DEVA → *indexCore
-	counterCores sync.Map // *automata.DEVA → *counterCore
-)
-
-// ResetCaches drops every shared core and its node tables (frees memory
-// in long-lived processes that discard automata or documents; also the
-// cache-flush admin operation of servers, and used by tests that measure
-// cache growth from a cold start).
-//
-// ResetCaches is safe to call at any time, including while Matchers,
-// Indexes, and Counters are in use on other goroutines. The reset only
-// unlinks the cores from the registries: an instance created before the
-// reset keeps the core it was built with (self-contained and still
-// consistent, so in-flight and future operations on it stay correct,
-// warming into a table that is no longer shared), while instances
-// created afterwards start from fresh, empty cores. Two instances over
-// the same automaton that straddle a reset therefore no longer share
-// matrices — correctness is unaffected, only the amortization.
-func ResetCaches() {
-	matcherCores.Range(func(k, _ any) bool { matcherCores.Delete(k); return true })
-	indexCores.Range(func(k, _ any) bool { indexCores.Delete(k); return true })
-	counterCores.Range(func(k, _ any) bool { counterCores.Delete(k); return true })
 }
 
 // collectByOrder gathers the distinct unseen inner nodes of root's DAG,

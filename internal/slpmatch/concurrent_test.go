@@ -10,7 +10,7 @@ import (
 	"docspanner/internal/spans"
 )
 
-// Race-regression tests for the shared node caches. Run with -race: one
+// Race-regression tests for the node tables. Run with -race: one
 // Matcher/Index/Counter instance is hammered from 8 goroutines, with a
 // fresh (cold-cache) document mix so that concurrent node computation
 // actually happens, and every goroutine must see the sequential answers.
@@ -25,8 +25,7 @@ func TestSharedIndexConcurrent(t *testing.T) {
 		want[i] = refIx.Count(docs[i])
 	}
 
-	ResetCaches() // cold shared cache: the goroutines race to fill it
-	ix := NewIndex(d)
+	ix := NewIndex(d) // cold tables: the goroutines race to fill them
 	var wg sync.WaitGroup
 	errs := make(chan error, 8*len(docs))
 	for g := 0; g < 8; g++ {
@@ -54,7 +53,6 @@ func TestSharedIndexConcurrent(t *testing.T) {
 func TestSharedMatcherAndCounterConcurrent(t *testing.T) {
 	nfa := plainNFA(t, "(ab)*")
 	d := spannerDEVA(t, ".*!x{ab}.*")
-	ResetCaches()
 	m, err := NewMatcher(nfa)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +90,6 @@ func TestWarmParallelMatchesSequential(t *testing.T) {
 	wantCount := seq.Count(root)
 	wantNodes := seq.CachedNodes()
 
-	ResetCaches()
 	par := NewIndex(d)
 	par.WarmParallel(root, 4)
 	if got := par.CachedNodes(); got != wantNodes {
@@ -102,7 +99,6 @@ func TestWarmParallelMatchesSequential(t *testing.T) {
 		t.Errorf("Count after WarmParallel = %d, want %d", got, wantCount)
 	}
 
-	ResetCaches()
 	m, err := NewMatcher(plainNFA(t, "(a|b)*"))
 	if err != nil {
 		t.Fatal(err)

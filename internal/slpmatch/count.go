@@ -15,8 +15,9 @@ import (
 // that can be astronomically large — is computed in O(|S|) big-integer
 // matrix products without enumeration and without decompression.
 
-// counterCore is the shared state of all Counters over one DEVA.
-type counterCore struct {
+// Counter carries the per-node count matrices for one deterministic eVA
+// in a table of its own; a Counter is safe for concurrent use.
+type Counter struct {
 	c         *automata.CompiledDEVA
 	nq        int
 	memo      *nodeCache[countMatrix]
@@ -28,23 +29,15 @@ type counterCore struct {
 // stored matrix is immutable.
 type countMatrix []*big.Int
 
-func counterCoreFor(d *automata.DEVA) *counterCore {
-	if v, ok := counterCores.Load(d); ok {
-		return v.(*counterCore)
-	}
-	core := buildCounterCore(d)
-	v, _ := counterCores.LoadOrStore(d, core)
-	return v.(*counterCore)
-}
-
-func buildCounterCore(d *automata.DEVA) *counterCore {
+// NewCounter prepares a counter for the automaton.
+func NewCounter(d *automata.DEVA) *Counter {
 	c := d.Compiled()
 	nq := c.NQ
-	core := &counterCore{c: c, nq: nq, memo: newNodeCache[countMatrix]()}
+	ct := &Counter{c: c, nq: nq, memo: newNodeCache[countMatrix]()}
 
 	zero := make(countMatrix, nq*nq)
-	for b := range core.leaf {
-		core.leaf[b] = zero
+	for b := range ct.leaf {
+		ct.leaf[b] = zero
 	}
 	one := big.NewInt(1)
 	for _, b := range c.Letters {
@@ -67,12 +60,12 @@ func buildCounterCore(d *automata.DEVA) *counterCore {
 				}
 			}
 		}
-		core.leaf[b] = m
+		ct.leaf[b] = m
 	}
 
 	// finalWays[q] counts the accepting completions at the end boundary:
 	// one for a final q, plus one per final mask successor.
-	core.finalWays = make([]*big.Int, nq)
+	ct.finalWays = make([]*big.Int, nq)
 	for q := 0; q < nq; q++ {
 		w := new(big.Int)
 		if c.Final[q] {
@@ -83,21 +76,21 @@ func buildCounterCore(d *automata.DEVA) *counterCore {
 				w.Add(w, one)
 			}
 		}
-		core.finalWays[q] = w
+		ct.finalWays[q] = w
 	}
-	return core
+	return ct
 }
 
-func (core *counterCore) nodeMatrix(n *slp.Node) countMatrix {
+func (ct *Counter) nodeMatrix(n *slp.Node) countMatrix {
 	if n.IsLeaf() {
-		return core.leaf[n.LeafByte()]
+		return ct.leaf[n.LeafByte()]
 	}
-	if m, ok := core.memo.get(n); ok {
+	if m, ok := ct.memo.get(n); ok {
 		return m
 	}
-	l := core.nodeMatrix(n.Left())
-	r := core.nodeMatrix(n.Right())
-	nq := core.nq
+	l := ct.nodeMatrix(n.Left())
+	r := ct.nodeMatrix(n.Right())
+	nq := ct.nq
 	m := make(countMatrix, nq*nq)
 	var tmp big.Int
 	for p := 0; p < nq; p++ {
@@ -120,26 +113,16 @@ func (core *counterCore) nodeMatrix(n *slp.Node) countMatrix {
 			}
 		}
 	}
-	core.memo.put(n, m)
+	ct.memo.put(n, m)
 	return m
 }
 
-// Counter carries the per-node count matrices for one deterministic eVA.
-// All Counters over one DEVA share a core and node cache; a Counter is
-// safe for concurrent use.
-type Counter struct {
-	core *counterCore
-}
-
-// NewCounter prepares (or reuses, hash-consed per automaton) a counter
-// for the automaton.
-func NewCounter(d *automata.DEVA) *Counter {
-	return &Counter{core: counterCoreFor(d)}
-}
-
 // CachedNodes reports the number of inner SLP nodes with computed count
-// matrices in the shared cache of this Counter's automaton.
-func (ct *Counter) CachedNodes() int { return ct.core.memo.len() }
+// matrices in this Counter's table.
+func (ct *Counter) CachedNodes() int { return ct.memo.len() }
+
+// Flush empties the count-matrix table in place (see Index.Flush).
+func (ct *Counter) Flush() { ct.memo.flush() }
 
 // WarmDelta brings the count-matrix cache up to date after an edit that
 // turned oldRoot into newRoot, recomputing only the O(log d) fresh spine
@@ -147,12 +130,11 @@ func (ct *Counter) CachedNodes() int { return ct.core.memo.len() }
 // final-vector product. A nil oldRoot warms newRoot from whatever is
 // cached.
 func (ct *Counter) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
-	core := ct.core
-	before := core.memo.len()
+	before := ct.memo.len()
 	st := warmDelta(oldRoot, newRoot,
-		func(n *slp.Node) bool { _, ok := core.memo.get(n); return ok },
-		func(n *slp.Node) { core.nodeMatrix(n) },
-		func(n *slp.Node) { core.nodeMatrix(n) })
+		func(n *slp.Node) bool { _, ok := ct.memo.get(n); return ok },
+		func(n *slp.Node) { ct.nodeMatrix(n) },
+		func(n *slp.Node) { ct.nodeMatrix(n) })
 	st.CachedBefore = before
 	return st
 }
@@ -162,20 +144,19 @@ func (ct *Counter) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
 // deterministic eVA are in bijection with tuples, so the count is exact
 // even when it far exceeds what enumeration could ever produce.
 func (ct *Counter) Count(root *slp.Node) *big.Int {
-	core := ct.core
 	if root == nil {
-		return new(big.Int).Set(core.finalWays[core.c.Start])
+		return new(big.Int).Set(ct.finalWays[ct.c.Start])
 	}
-	m := core.nodeMatrix(root)
+	m := ct.nodeMatrix(root)
 	total := new(big.Int)
 	var tmp big.Int
-	nq := core.nq
+	nq := ct.nq
 	for q := 0; q < nq; q++ {
-		v := m[core.c.Start*nq+q]
-		if v == nil || v.Sign() == 0 || core.finalWays[q].Sign() == 0 {
+		v := m[ct.c.Start*nq+q]
+		if v == nil || v.Sign() == 0 || ct.finalWays[q].Sign() == 0 {
 			continue
 		}
-		tmp.Mul(v, core.finalWays[q])
+		tmp.Mul(v, ct.finalWays[q])
 		total.Add(total, &tmp)
 	}
 	return total

@@ -19,10 +19,12 @@ type nodeData struct {
 	emT  *automata.BoolMatrix
 }
 
-// indexCore is the shared state of all Indexes over one DEVA: the
-// compiled automaton, dense leaf data for every byte, the cached
-// final-alive vector, and the concurrent node cache.
-type indexCore struct {
+// Index enumerates a deterministic extended vset-automaton's spanner
+// over SLP-compressed documents. It owns the compiled automaton, dense
+// leaf data for every byte, the final-alive vector, and the concurrent
+// node table; an Index is safe for concurrent use, and everything that
+// holds the same Index shares its tables.
+type Index struct {
 	c          *automata.CompiledDEVA
 	nq         int
 	words      int
@@ -31,19 +33,12 @@ type indexCore struct {
 	finalAlive []uint64
 }
 
-func indexCoreFor(d *automata.DEVA) *indexCore {
-	if v, ok := indexCores.Load(d); ok {
-		return v.(*indexCore)
-	}
-	core := buildIndexCore(d)
-	v, _ := indexCores.LoadOrStore(d, core)
-	return v.(*indexCore)
-}
-
-func buildIndexCore(d *automata.DEVA) *indexCore {
+// NewIndex prepares an index, with tables of its own, for the given
+// deterministic eVA.
+func NewIndex(d *automata.DEVA) *Index {
 	c := d.Compiled()
 	nq := c.NQ
-	core := &indexCore{c: c, nq: nq, words: (nq + 63) / 64, nodes: newNodeCache[*nodeData]()}
+	ix := &Index{c: c, nq: nq, words: (nq + 63) / 64, nodes: newNodeCache[*nodeData]()}
 
 	// Dense leaf table: real data for the automaton's letters, one shared
 	// dead entry (pure all −1, zero matrices) for every other byte — a
@@ -57,8 +52,8 @@ func buildIndexCore(d *automata.DEVA) *indexCore {
 	for q := range dead.pure {
 		dead.pure[q] = -1
 	}
-	for b := range core.leaf {
-		core.leaf[b] = dead
+	for b := range ix.leaf {
+		ix.leaf[b] = dead
 	}
 	for _, b := range c.Letters {
 		steps := c.StepsFor(b)
@@ -79,7 +74,7 @@ func buildIndexCore(d *automata.DEVA) *indexCore {
 			}
 		}
 		nd.emT = nd.em.Transpose()
-		core.leaf[b] = nd
+		ix.leaf[b] = nd
 	}
 
 	// States accepting at the end boundary: directly final, or final
@@ -97,28 +92,28 @@ func buildIndexCore(d *automata.DEVA) *indexCore {
 			}
 		}
 	}
-	core.finalAlive = v
-	return core
+	ix.finalAlive = v
+	return ix
 }
 
-// node computes (memoized in the shared cache) the P/E/E⁺ data of an SLP
-// node. Concurrent computation of the same node yields equal data;
-// last-write-wins is harmless.
-func (core *indexCore) node(n *slp.Node) *nodeData {
+// node computes (memoized) the P/E/E⁺ data of an SLP node. Concurrent
+// computation of the same node yields equal data; last-write-wins is
+// harmless.
+func (ix *Index) node(n *slp.Node) *nodeData {
 	if n.IsLeaf() {
-		return core.leaf[n.LeafByte()]
+		return ix.leaf[n.LeafByte()]
 	}
-	if nd, ok := core.nodes.get(n); ok {
+	if nd, ok := ix.nodes.get(n); ok {
 		return nd
 	}
-	nd := core.combine(core.node(n.Left()), core.node(n.Right()))
-	core.nodes.put(n, nd)
+	nd := ix.combine(ix.node(n.Left()), ix.node(n.Right()))
+	ix.nodes.put(n, nd)
 	return nd
 }
 
 // combine derives a concatenation node's data from its children's.
-func (core *indexCore) combine(l, r *nodeData) *nodeData {
-	nq := core.nq
+func (ix *Index) combine(l, r *nodeData) *nodeData {
+	nq := ix.nq
 	p := make([]int32, nq)
 	for q := 0; q < nq; q++ {
 		if l.pure[q] >= 0 {
@@ -143,27 +138,20 @@ func (core *indexCore) combine(l, r *nodeData) *nodeData {
 	return &nodeData{pure: p, em: em, ep: ep, emT: em.Transpose()}
 }
 
-// Index enumerates a deterministic extended vset-automaton's spanner
-// over SLP-compressed documents. All Indexes over one DEVA share a
-// compiled core and node cache; an Index is safe for concurrent use.
-type Index struct {
-	core *indexCore
-}
-
-// NewIndex prepares (or reuses, hash-consed per automaton) an index for
-// the given deterministic eVA.
-func NewIndex(d *automata.DEVA) *Index {
-	return &Index{core: indexCoreFor(d)}
-}
-
 // DEVA returns the underlying deterministic automaton.
-func (ix *Index) DEVA() *automata.DEVA { return ix.core.c.DEVA }
+func (ix *Index) DEVA() *automata.DEVA { return ix.c.DEVA }
+
+// Flush empties the node table in place, releasing the per-node data of
+// every document seen so far. Safe while other goroutines warm,
+// enumerate or count on the same Index: they recompute what they miss,
+// and everything that holds this Index keeps sharing the one table.
+func (ix *Index) Flush() { ix.nodes.flush() }
 
 // Warm precomputes the index for all nodes of a document — the
 // preprocessing phase, linear in the SLP size (data complexity).
 func (ix *Index) Warm(root *slp.Node) {
 	if root != nil {
-		ix.core.node(root)
+		ix.node(root)
 	}
 }
 
@@ -171,17 +159,16 @@ func (ix *Index) Warm(root *slp.Node) {
 // fanned out over workers goroutines (GOMAXPROCS if workers ≤ 0); nodes
 // of equal order are independent, so the schedule is race-free.
 func (ix *Index) WarmParallel(root *slp.Node, workers int) {
-	core := ix.core
 	warmParallel(root, workers,
-		func(n *slp.Node) bool { _, ok := core.nodes.get(n); return ok },
+		func(n *slp.Node) bool { _, ok := ix.nodes.get(n); return ok },
 		func(n *slp.Node) {
-			core.nodes.put(n, core.combine(core.node(n.Left()), core.node(n.Right())))
+			ix.nodes.put(n, ix.combine(ix.node(n.Left()), ix.node(n.Right())))
 		})
 }
 
 // CachedNodes reports the number of inner SLP nodes with computed data
-// in the shared cache of this Index's automaton.
-func (ix *Index) CachedNodes() int { return ix.core.nodes.len() }
+// in this Index's table.
+func (ix *Index) CachedNodes() int { return ix.nodes.len() }
 
 // WarmDelta brings the index up to date after an edit that turned
 // oldRoot into newRoot: the traversal prunes at every node whose data is
@@ -190,12 +177,11 @@ func (ix *Index) CachedNodes() int { return ix.core.nodes.len() }
 // shared with oldRoot are free). A nil oldRoot warms newRoot from
 // whatever is cached. Safe for concurrent use, like Warm.
 func (ix *Index) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
-	core := ix.core
-	before := core.nodes.len()
+	before := ix.nodes.len()
 	st := warmDelta(oldRoot, newRoot,
-		func(n *slp.Node) bool { _, ok := core.nodes.get(n); return ok },
-		func(n *slp.Node) { core.node(n) },
-		func(n *slp.Node) { core.node(n) })
+		func(n *slp.Node) bool { _, ok := ix.nodes.get(n); return ok },
+		func(n *slp.Node) { ix.node(n) },
+		func(n *slp.Node) { ix.node(n) })
 	st.CachedBefore = before
 	return st
 }
@@ -203,12 +189,11 @@ func (ix *Index) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
 // NonEmpty decides whether the spanner result on 𝔇(root) is non-empty,
 // in compressed time (no decompression).
 func (ix *Index) NonEmpty(root *slp.Node) bool {
-	core := ix.core
 	if root == nil {
-		return vecGet(core.finalAlive, core.c.Start)
+		return vecGet(ix.finalAlive, ix.c.Start)
 	}
-	v := core.node(root).emT.ApplyLeft(core.finalAlive)
-	return vecGet(v, core.c.Start)
+	v := ix.node(root).emT.ApplyLeft(ix.finalAlive)
+	return vecGet(v, ix.c.Start)
 }
 
 // event mirrors the uncompressed enumerator's event type.
@@ -225,9 +210,9 @@ type event struct {
 // one Index are safe; each call keeps its own traversal state.
 func (ix *Index) Each(root *slp.Node, f func(spans.Tuple) bool) {
 	ix.Warm(root)
-	e := &cenum{core: ix.core, root: root, emit: f}
-	events := make([]event, 0, 2*len(ix.core.c.DEVA.Index.Vars())+1)
-	e.dfs(ix.core.c.Start, 0, events, 0)
+	e := &cenum{ix: ix, root: root, emit: f}
+	events := make([]event, 0, 2*len(ix.c.DEVA.Index.Vars())+1)
+	e.dfs(ix.c.Start, 0, events, 0)
 }
 
 // Count returns the number of result tuples. It runs the walk in
@@ -244,13 +229,13 @@ func (ix *Index) Count(root *slp.Node) int {
 // once per counted tuple; returning false aborts, reporting
 // complete=false with the partial count.
 func (ix *Index) CountTotal(root *slp.Node, vars spans.VarSet, poll func() bool) (n int, complete bool) {
-	need, ok := ix.core.c.DEVA.Index.OpenBits(vars)
+	need, ok := ix.c.DEVA.Index.OpenBits(vars)
 	if !ok {
 		return 0, true
 	}
 	ix.Warm(root)
-	e := &cenum{core: ix.core, root: root, countOnly: true, need: need, poll: poll}
-	e.dfs(ix.core.c.Start, 0, nil, 0)
+	e := &cenum{ix: ix, root: root, countOnly: true, need: need, poll: poll}
+	e.dfs(ix.c.Start, 0, nil, 0)
 	return e.count, !e.aborted
 }
 
@@ -266,7 +251,7 @@ func (ix *Index) All(root *slp.Node) *spans.Relation {
 // count-only mode (countOnly) the event list stays empty and the walk
 // carries only the accumulated mask — no tuples are built.
 type cenum struct {
-	core    *indexCore
+	ix      *Index
 	root    *slp.Node
 	emit    func(spans.Tuple) bool
 	aborted bool
@@ -277,18 +262,18 @@ type cenum struct {
 	count     int
 	poll      func() bool
 
-	// nd is a lock-free front cache over the shared node cache: one walk
+	// nd is a lock-free front cache over the index's node table: one walk
 	// re-reads the same nodes on every dfs descent, and a plain map
 	// lookup beats the sharded cache's lock and counters.
 	nd map[*slp.Node]*nodeData
 }
 
-// node is core.node behind the walk-local front cache.
+// node is ix.node behind the walk-local front cache.
 func (e *cenum) node(n *slp.Node) *nodeData {
 	if d, ok := e.nd[n]; ok {
 		return d
 	}
-	d := e.core.node(n)
+	d := e.ix.node(n)
 	if e.nd == nil {
 		e.nd = make(map[*slp.Node]*nodeData, 64)
 	}
@@ -313,7 +298,7 @@ func (e *cenum) getVec() []uint64 {
 		e.free = e.free[:k-1]
 		return v
 	}
-	return make([]uint64, e.core.words)
+	return make([]uint64, e.ix.words)
 }
 
 func (e *cenum) putVec(v []uint64) { e.free = append(e.free, v) }
@@ -330,7 +315,7 @@ func (e *cenum) dfs(q int, pos int64, events []event, acc automata.Mask) {
 		e.finish(q, events, acc)
 		return
 	}
-	exit := e.walk(e.root, q, pos, e.core.finalAlive, 0, events, acc)
+	exit := e.walk(e.root, q, pos, e.ix.finalAlive, 0, events, acc)
 	if e.aborted || exit < 0 {
 		return
 	}
@@ -340,7 +325,7 @@ func (e *cenum) dfs(q int, pos int64, events []event, acc automata.Mask) {
 // finish handles the end-of-document boundary: emit the pure run and the
 // runs taking one final mask.
 func (e *cenum) finish(q int, events []event, acc automata.Mask) {
-	c := e.core.c
+	c := e.ix.c
 	if c.Final[q] {
 		if e.countOnly {
 			e.counted(acc)
@@ -378,11 +363,11 @@ func (e *cenum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, events
 	if e.aborted {
 		return -1
 	}
-	core := e.core
+	ix := e.ix
 	if a.IsLeaf() {
 		b := a.LeafByte()
-		steps := core.leaf[b].pure
-		for _, me := range core.c.MaskEdges[q] {
+		steps := ix.leaf[b].pure
+		for _, me := range ix.c.MaskEdges[q] {
 			s := steps[me.To]
 			if s < 0 || !vecGet(av, int(s)) {
 				continue
@@ -438,10 +423,10 @@ func vecGet(v []uint64, q int) bool { return automata.BitGet(v, q) }
 
 // tuple converts events into a span tuple (1-based positions).
 func (e *cenum) tuple(events []event) spans.Tuple {
-	t := make(spans.Tuple, len(e.core.c.DEVA.Index.Vars()))
+	t := make(spans.Tuple, len(e.ix.c.DEVA.Index.Vars()))
 	for _, ev := range events {
 		pos := int(ev.boundary) + 1
-		for _, mk := range e.core.c.Markers(ev.mask) {
+		for _, mk := range e.ix.c.Markers(ev.mask) {
 			if mk.Close {
 				s := t[mk.Var]
 				s.End = pos

@@ -7,12 +7,13 @@
 // SLP size and delay O(log |D|) on balanced SLPs (after Schmid &
 // Schweikardt, PODS 2021).
 //
-// All per-node data is memoized in sharded concurrent caches keyed by the
-// (immutable, shared) SLP nodes and hash-consed per automaton, so a
-// persistent Index amortizes across the documents of a database — and
-// across goroutines — and is maintained for free under CDE updates: an
-// update adds O(log d) fresh nodes, and only those need new matrices
-// (Section 4.3).
+// All per-node data is memoized in sharded concurrent tables keyed by the
+// (immutable, shared) SLP nodes and owned by the Matcher, Index or
+// Counter they belong to, so a persistent Index amortizes across the
+// documents of a database — and across goroutines — and is maintained
+// for free under CDE updates: an update adds O(log d) fresh nodes, and
+// only those need new matrices (Section 4.3). Sharing tables means
+// sharing the instance; dropping the instance frees them.
 //
 // Matcher, Index, and Counter are safe for concurrent use. The automaton
 // an instance is built on must not be mutated afterwards.
@@ -25,68 +26,48 @@ import (
 	"docspanner/internal/slp"
 )
 
-// matcherCore holds the shared state of all Matchers over one NFA: the
-// compiled per-letter matrices and the concurrent node→matrix cache.
-type matcherCore struct {
+// Matcher decides membership of SLP-compressed documents in the language
+// of a plain NFA (no markers): the classical compressed-membership tool.
+// It holds the compiled per-letter matrices of its NFA and its own
+// node→matrix table; a Matcher is safe for concurrent use.
+type Matcher struct {
 	c    *automata.CompiledNFA
 	memo *nodeCache[*automata.BoolMatrix]
 }
 
-func matcherCoreFor(nfa *automata.NFA) (*matcherCore, error) {
-	if v, ok := matcherCores.Load(nfa); ok {
-		return v.(*matcherCore), nil
-	}
-	c, err := nfa.CompiledMatrices()
-	if err != nil {
-		return nil, err
-	}
-	core := &matcherCore{c: c, memo: newNodeCache[*automata.BoolMatrix]()}
-	v, _ := matcherCores.LoadOrStore(nfa, core)
-	return v.(*matcherCore), nil
-}
-
-// Matcher decides membership of SLP-compressed documents in the language
-// of a plain NFA (no markers): the classical compressed-membership tool.
-// All Matchers over one NFA share a compiled core and node cache; a
-// Matcher is safe for concurrent use.
-type Matcher struct {
-	core *matcherCore
-}
-
-// NewMatcher prepares (or reuses, hash-consed per automaton) per-letter
-// transition matrices. The automaton must have no marker or reference
-// transitions.
+// NewMatcher prepares per-letter transition matrices (compiled once per
+// NFA). The automaton must have no marker or reference transitions.
 func NewMatcher(nfa *automata.NFA) (*Matcher, error) {
-	core, err := matcherCoreFor(nfa)
+	c, err := nfa.CompiledMatrices()
 	if err != nil {
 		return nil, fmt.Errorf("slpmatch: %w", err)
 	}
-	return &Matcher{core: core}, nil
+	return &Matcher{c: c, memo: newNodeCache[*automata.BoolMatrix]()}, nil
 }
 
-// matrix returns (memoized in the shared cache) the reachability matrix
-// for the derivation of node n. Concurrent callers may compute the same
-// node twice; the results are equal, so last-write-wins is harmless.
-func (core *matcherCore) matrix(n *slp.Node) *automata.BoolMatrix {
+// matrix returns (memoized) the reachability matrix for the derivation
+// of node n. Concurrent callers may compute the same node twice; the
+// results are equal, so last-write-wins is harmless.
+func (m *Matcher) matrix(n *slp.Node) *automata.BoolMatrix {
 	if n.IsLeaf() {
-		return core.c.LetterMatrix(n.LeafByte())
+		return m.c.LetterMatrix(n.LeafByte())
 	}
-	if mt, ok := core.memo.get(n); ok {
+	if mt, ok := m.memo.get(n); ok {
 		return mt
 	}
-	mt := core.matrix(n.Left()).Mul(core.matrix(n.Right()))
-	core.memo.put(n, mt)
+	mt := m.matrix(n.Left()).Mul(m.matrix(n.Right()))
+	m.memo.put(n, mt)
 	return mt
 }
 
 // Accepts decides 𝔇(root) ∈ L(nfa) without decompressing, in time
 // O(|S|·n³/64) for the new nodes of root.
 func (m *Matcher) Accepts(root *slp.Node) bool {
-	c := m.core.c
+	c := m.c
 	if root == nil {
 		return c.EmptyAccept
 	}
-	mt := m.core.matrix(root)
+	mt := m.matrix(root)
 	for q, f := range c.NFA.Final {
 		if f && mt.Get(c.NFA.Start, q) {
 			return true
@@ -98,7 +79,7 @@ func (m *Matcher) Accepts(root *slp.Node) bool {
 // Warm computes the matrices of all nodes of root sequentially.
 func (m *Matcher) Warm(root *slp.Node) {
 	if root != nil {
-		m.core.matrix(root)
+		m.matrix(root)
 	}
 }
 
@@ -107,18 +88,16 @@ func (m *Matcher) Warm(root *slp.Node) {
 // (GOMAXPROCS if workers ≤ 0). Nodes of equal order are independent, so
 // the schedule is race-free by construction.
 func (m *Matcher) WarmParallel(root *slp.Node, workers int) {
-	core := m.core
 	warmParallel(root, workers,
-		func(n *slp.Node) bool { _, ok := core.memo.get(n); return ok },
+		func(n *slp.Node) bool { _, ok := m.memo.get(n); return ok },
 		func(n *slp.Node) {
-			mt := core.matrix(n.Left()).Mul(core.matrix(n.Right()))
-			core.memo.put(n, mt)
+			m.memo.put(n, m.matrix(n.Left()).Mul(m.matrix(n.Right())))
 		})
 }
 
 // CachedNodes reports how many inner SLP nodes have matrices computed in
-// the shared cache of this Matcher's automaton.
-func (m *Matcher) CachedNodes() int { return m.core.memo.len() }
+// this Matcher's table.
+func (m *Matcher) CachedNodes() int { return m.memo.len() }
 
 // WarmDelta brings the matrix cache up to date after an edit that turned
 // oldRoot into newRoot: it computes matrices for the O(log d) fresh
@@ -126,12 +105,11 @@ func (m *Matcher) CachedNodes() int { return m.core.memo.len() }
 // one (the subtrees the edit shares with oldRoot — hash-consed, so they
 // are free). A nil oldRoot warms newRoot from whatever is cached.
 func (m *Matcher) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
-	core := m.core
-	before := core.memo.len()
+	before := m.memo.len()
 	st := warmDelta(oldRoot, newRoot,
-		func(n *slp.Node) bool { _, ok := core.memo.get(n); return ok },
-		func(n *slp.Node) { core.matrix(n) },
-		func(n *slp.Node) { core.matrix(n) })
+		func(n *slp.Node) bool { _, ok := m.memo.get(n); return ok },
+		func(n *slp.Node) { m.matrix(n) },
+		func(n *slp.Node) { m.matrix(n) })
 	st.CachedBefore = before
 	return st
 }

@@ -171,11 +171,11 @@ func TestWarmDeltaStatsMonotonic(t *testing.T) {
 	}
 }
 
-// TestWarmDeltaWhileReset certifies WarmDelta under the ResetCaches
-// contract, in the style of TestResetCachesWhileInUse: concurrent edit
-// maintenance and counting racing continuous cache resets is free of
-// data races and never changes a result.
-func TestWarmDeltaWhileReset(t *testing.T) {
+// TestWarmDeltaWhileFlush certifies WarmDelta under the Flush contract,
+// in the style of TestFlushWhileInUse: concurrent edit maintenance and
+// counting on one shared Index racing continuous in-place flushes is
+// free of data races and never changes a result.
+func TestWarmDeltaWhileFlush(t *testing.T) {
 	d := spannerDEVA(t, ".*!x{ab}.*")
 	base := slp.Repeat(slp.FromBytes([]byte("ab")), 64)
 	versions := make([]*slp.Node, 6)
@@ -191,14 +191,15 @@ func TestWarmDeltaWhileReset(t *testing.T) {
 
 	const workers = 8
 	var stop atomic.Bool
-	var wg, resetWG sync.WaitGroup
+	var wg, flushWG sync.WaitGroup
 	errs := make(chan error, workers*32)
 
-	resetWG.Add(1)
+	ix := NewIndex(d)
+	flushWG.Add(1)
 	go func() {
-		defer resetWG.Done()
+		defer flushWG.Done()
 		for !stop.Load() {
-			ResetCaches()
+			ix.Flush()
 		}
 	}()
 
@@ -206,17 +207,11 @@ func TestWarmDeltaWhileReset(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ix := NewIndex(d)
 			for it := 0; it < 32; it++ {
 				j := (g + it) % (len(versions) - 1)
 				ix.WarmDelta(versions[j], versions[j+1])
 				if got := ix.Count(versions[j+1]); got != want[j+1] {
 					errs <- fmt.Errorf("goroutine %d: Count(version %d) = %d, want %d", g, j+1, got, want[j+1])
-				}
-				fresh := NewIndex(d)
-				fresh.WarmDelta(versions[j], versions[j+1])
-				if got := fresh.Count(versions[j+1]); got != want[j+1] {
-					errs <- fmt.Errorf("goroutine %d: fresh Count(version %d) = %d, want %d", g, j+1, got, want[j+1])
 				}
 			}
 		}(g)
@@ -224,7 +219,7 @@ func TestWarmDeltaWhileReset(t *testing.T) {
 
 	wg.Wait()
 	stop.Store(true)
-	resetWG.Wait()
+	flushWG.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)

@@ -4,7 +4,7 @@
 // tuple count, and the materialized sorted tuples when small enough —
 // that is refreshed incrementally after CDE edits. A refresh recomputes
 // only the O(log d) fresh spine of the edited SLP (Index.WarmDelta); the
-// rest of the grammar is reused through the shared per-node caches, so
+// rest of the grammar is reused through the index's per-node tables, so
 // live views cost per edit what the survey's Section 4.3 promises, not a
 // re-evaluation.
 //

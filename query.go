@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"docspanner/internal/algebra"
 	"docspanner/internal/lint"
@@ -78,6 +79,8 @@ type Query struct {
 
 	planOnce sync.Once
 	planned  *plan.Planned
+
+	index atomic.Pointer[Index] // see Index: one wrapper per query
 }
 
 // Q lifts a compiled regular spanner into a query with default options.
@@ -206,8 +209,8 @@ func (q *Query) IsRegular() bool { return !q.IsCore() }
 // query's PlanOptions — a join the rewriter fused away is free and not
 // reported, and a determinization blowup is reported only if backend
 // selection will actually determinize. Calling Lint plans the query
-// (planning is cached, so this costs nothing extra when the query is
-// later evaluated).
+// (the query keeps its plan, so this costs nothing extra when the query
+// is later evaluated).
 func (q *Query) Lint() []Diagnostic {
 	diags := lint.Expr(q.expr, q.schemaless)
 	diags = append(diags, q.plan().Lint()...)
@@ -215,9 +218,10 @@ func (q *Query) Lint() []Diagnostic {
 	return diags
 }
 
-// plan lowers, rewrites, and caches the query's execution plan (planned
-// once per query; structurally identical queries share plans through
-// the global plan cache).
+// plan lowers and rewrites the query into its execution plan, once per
+// query. The plan — and with it the determinized automata and the
+// compressed-evaluation index — belongs to the query and is freed with
+// it.
 func (q *Query) plan() *plan.Planned {
 	q.planOnce.Do(func() {
 		q.planned = plan.New(q.expr, q.planOptions())
