@@ -3,184 +3,167 @@ package enum
 import (
 	"math"
 	"math/big"
-	"math/bits"
 
 	"docspanner/internal/automata"
 	"docspanner/internal/spans"
 )
 
 // FastCount returns the exact number of result tuples of the spanner on
-// doc WITHOUT enumerating them: a dynamic program over (state, position)
-// counts the accepting runs of the deterministic extended vset-automaton,
-// and determinism makes runs and tuples coincide. Time O(|doc|·|Q|·|δ|),
-// independent of the output size — the counting analogue of the
-// enumeration result (answer counting for spanners is studied in the
-// literature the survey builds on; for deterministic automata it is this
-// easy, while for nondeterministic representations it is #P-hard).
+// doc WITHOUT enumerating them: the forward dynamic program of
+// CountTotalFast counts the accepting runs of the deterministic extended
+// vset-automaton, and determinism makes runs and tuples coincide — the
+// counting analogue of the enumeration result (answer counting for
+// spanners is studied in the literature the survey builds on; for
+// deterministic automata it is this easy, while for nondeterministic
+// representations it is #P-hard). Counts past int64 repeat the same pass
+// over the reached states in big.Int arithmetic.
 func FastCount(d *automata.DEVA, doc []byte) *big.Int {
-	n := len(doc)
+	if n, _, ok := CountTotalFast(d, doc, nil, nil); ok {
+		return big.NewInt(int64(n))
+	}
 	c := d.Compiled()
-	nq := c.NQ
-
-	// runs[q] = number of accepting runs from (q, i) with a mask allowed
-	// at boundary i; computed backwards. noMask[q] = runs whose next
-	// action is the letter at i (or acceptance at i = n).
-	runs := make([]*big.Int, nq)
-	noMask := make([]*big.Int, nq)
-	next := make([]*big.Int, nq)
-	for q := 0; q < nq; q++ {
-		runs[q] = new(big.Int)
-		noMask[q] = new(big.Int)
-		next[q] = new(big.Int)
-	}
-
-	// Boundary n.
-	for q := 0; q < nq; q++ {
-		if c.Final[q] {
-			noMask[q].SetInt64(1)
+	add := func(m map[int32]*big.Int, q int32, v *big.Int) {
+		if w := m[q]; w != nil {
+			w.Add(w, v)
 		} else {
-			noMask[q].SetInt64(0)
+			m[q] = new(big.Int).Set(v)
 		}
 	}
-	combine := func() {
-		for q := 0; q < nq; q++ {
-			runs[q].Set(noMask[q])
+	// cur[q]: run prefixes that arrive in q at the boundary by a letter.
+	cur := map[int32]*big.Int{int32(c.Start): big.NewInt(1)}
+	for _, b := range doc {
+		steps := c.StepsFor(b)
+		if steps == nil {
+			return new(big.Int) // no transition reads b: no run gets past it
+		}
+		next := make(map[int32]*big.Int, len(cur))
+		for q, v := range cur {
+			if s := steps[q]; s >= 0 {
+				add(next, s, v)
+			}
 			for _, me := range c.MaskEdges[q] {
-				runs[q].Add(runs[q], noMask[me.To])
+				if s := steps[me.To]; s >= 0 {
+					add(next, s, v)
+				}
+			}
+		}
+		cur = next
+	}
+	total := new(big.Int)
+	for q, v := range cur {
+		if c.Final[q] {
+			total.Add(total, v)
+		}
+		for _, me := range c.MaskEdges[q] {
+			if c.Final[me.To] {
+				total.Add(total, v)
 			}
 		}
 	}
-	combine()
-
-	for i := n - 1; i >= 0; i-- {
-		steps := c.StepsFor(doc[i])
-		// next holds runs[] of boundary i+1.
-		for q := 0; q < nq; q++ {
-			next[q].Set(runs[q])
-		}
-		for q := 0; q < nq; q++ {
-			if steps != nil && steps[q] >= 0 {
-				noMask[q].Set(next[steps[q]])
-			} else {
-				noMask[q].SetInt64(0)
-			}
-		}
-		combine()
-	}
-	return new(big.Int).Set(runs[c.Start])
+	return total
 }
 
-// maxDPCells bounds the (covered-subset × state) space of CountTotalFast:
-// past it the DP rows stop fitting in cache and the enumeration walk is
-// the safer bet.
-const maxDPCells = 4096
+// prefixes counts the run prefixes that arrive in one state at the
+// current boundary by a letter, having opened exactly the required
+// variables in sub.
+type prefixes struct {
+	state int32
+	link  int32 // next record of the same state in the same list; -1 ends
+	sub   automata.Mask
+	n     uint64
+}
 
 // CountTotalFast counts the tuples that assign every variable of vars —
-// the same quantity as Enumerator.CountTotal — by dynamic programming
-// over (state, covered-variable subset) pairs, with NO preprocessing
-// tables and NO per-tuple work: time O(|doc|·|Q|·2^k·|δ|) for k required
-// variables, independent of the output size. Determinism again makes
-// runs and tuples coincide; the subset dimension tracks which of the
-// required variables the suffix still opens, so the functional filter of
-// CountTotal folds into the DP instead of being tested per run.
+// the same quantity as Enumerator.CountTotal — by a forward dynamic
+// program over the (state, covered-variable subset) pairs that run
+// prefixes of doc actually reach, with NO preprocessing tables and NO
+// per-tuple work: time O(|doc|·P·|δ|) for P reached pairs per boundary (at
+// most |Q|·2^k for k required variables, a handful when the automaton
+// keeps few states alive), independent of the output size. Determinism
+// again makes runs and tuples coincide; the subset dimension tracks which
+// of the required variables the prefix has opened, so the functional
+// filter of CountTotal folds into the DP instead of being tested per run.
 //
-// ok is false when the DP declines — too many required variables for
-// the subset table, or the count overflows int64 — and the caller must
-// fall back to the walk. poll, if non-nil, is a cancellation hook
-// invoked every few thousand document positions (a poll is a channel
-// select — per-position polling would cost more than the DP row it
-// guards); if it returns false the DP aborts with (0, false, true):
-// applicable but cancelled, count unknown.
+// ok is false when the DP declines — some prefix count overflows int64 —
+// and the caller must fall back to the walk. poll, if non-nil, is a
+// cancellation hook invoked every few thousand document positions (a
+// poll is a channel select — per-position polling would cost more than
+// the DP step it guards); if it returns false the DP aborts with
+// (0, false, true): applicable but cancelled, count unknown.
 func CountTotalFast(d *automata.DEVA, doc []byte, vars spans.VarSet, poll func() bool) (n int, complete, ok bool) {
 	need, has := d.Index.OpenBits(vars)
 	if !has {
 		return 0, true, true // a required variable the spanner never binds
 	}
 	c := d.Compiled()
-	nq := c.NQ
-	k := bits.OnesCount64(uint64(need))
-	w := 1 << k
-	if w*nq > maxDPCells {
-		return 0, false, false
-	}
 
-	// Compress the sparse need bits to a dense subset index; OR commutes
-	// with the remap, so subset unions stay cheap in compressed space.
-	var needBit [64]int
-	bi := 0
-	for m := uint64(need); m != 0; m &= m - 1 {
-		needBit[bits.TrailingZeros64(m)] = bi
-		bi++
-	}
-	compress := func(m automata.Mask) int {
-		s := 0
-		for r := uint64(m) & uint64(need); r != 0; r &= r - 1 {
-			s |= 1 << needBit[bits.TrailingZeros64(r)]
+	// head[q] names the newest record of state q in the list being built;
+	// it is valid only if it lies inside that list and holds q, so stale
+	// values from earlier boundaries need no clearing.
+	head := make([]int32, c.NQ)
+	overflow := false
+	add := func(list []prefixes, q int32, sub automata.Mask, v uint64) []prefixes {
+		h := head[q]
+		if int(h) >= len(list) || list[h].state != q {
+			h = -1
 		}
-		return s
-	}
-
-	// The mask edges, flattened once with their compressed subset
-	// contribution — the inner loop touches no per-state slices.
-	type dpEdge struct{ q, to, cm int32 }
-	var edges []dpEdge
-	for q := 0; q < nq; q++ {
-		for _, me := range c.MaskEdges[q] {
-			edges = append(edges, dpEdge{int32(q), me.To, int32(compress(me.Mask))})
-		}
-	}
-
-	// runs[S*nq+q]: accepting runs from (q, boundary) with a mask still
-	// allowed, whose suffix covers exactly subset S of the required
-	// variables. noMask: same, next action is a letter (or acceptance).
-	size := w * nq
-	runs := make([]uint64, size)
-	noMask := make([]uint64, size)
-	for q := 0; q < nq; q++ {
-		if c.Final[q] {
-			noMask[q] = 1 // subset 0: an accepting suffix opens nothing
-		}
-	}
-	combine := func() bool {
-		copy(runs, noMask)
-		for _, e := range edges {
-			for s := int32(0); s < int32(w); s++ {
-				ix := (s|e.cm)*int32(nq) + e.q
-				v := runs[ix] + noMask[s*int32(nq)+e.to]
-				if v < runs[ix] || v > math.MaxInt64 {
-					return false
-				}
-				runs[ix] = v
+		for x := h; x >= 0; x = list[x].link {
+			if list[x].sub == sub {
+				list[x].n += v
+				overflow = overflow || list[x].n > math.MaxInt64
+				return list
 			}
 		}
-		return true
+		head[q] = int32(len(list))
+		return append(list, prefixes{state: q, link: h, sub: sub, n: v})
 	}
-	if !combine() {
-		return 0, false, false
-	}
-	for i := len(doc) - 1; i >= 0; i-- {
+
+	// A run takes at most one mask per boundary and then the letter, so a
+	// mask edge and the letter behind it are one DP step: letter arrivals
+	// only ever meet letter arrivals.
+	cur := []prefixes{{state: int32(c.Start), link: -1, n: 1}}
+	var next []prefixes
+	for i, b := range doc {
 		if i&4095 == 0 && poll != nil && !poll() {
 			return 0, false, true
 		}
-		steps := c.StepsFor(doc[i])
-		if steps == nil {
-			clear(noMask)
-		} else {
-			for s := 0; s < w; s++ {
-				row := noMask[s*nq : (s+1)*nq]
-				prev := runs[s*nq : (s+1)*nq]
-				for q := 0; q < nq; q++ {
-					if t := steps[q]; t >= 0 {
-						row[q] = prev[t]
-					} else {
-						row[q] = 0
-					}
+		steps := c.StepsFor(b)
+		if steps == nil || len(cur) == 0 {
+			return 0, true, true
+		}
+		next = next[:0]
+		for _, p := range cur {
+			if s := steps[p.state]; s >= 0 {
+				next = add(next, s, p.sub, p.n)
+			}
+			for _, me := range c.MaskEdges[p.state] {
+				if s := steps[me.To]; s >= 0 {
+					next = add(next, s, p.sub|me.Mask&need, p.n)
 				}
 			}
 		}
-		if !combine() {
+		if overflow {
 			return 0, false, false
 		}
+		cur, next = next, cur
 	}
-	return int(runs[(w-1)*nq+c.Start]), true, true
+	var total uint64
+	tally := func(v uint64) {
+		total += v
+		overflow = overflow || total > math.MaxInt64
+	}
+	for _, p := range cur {
+		if c.Final[p.state] && p.sub == need {
+			tally(p.n)
+		}
+		for _, me := range c.MaskEdges[p.state] {
+			if c.Final[me.To] && p.sub|me.Mask&need == need {
+				tally(p.n)
+			}
+		}
+	}
+	if overflow {
+		return 0, false, false
+	}
+	return int(total), true, true
 }

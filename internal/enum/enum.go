@@ -6,31 +6,45 @@
 // The algorithm follows Florenzano, Riveros, Ugarte, Vansummeren, and
 // Vrgoč (ACM TODS 2020): the spanner is first compiled into a
 // deterministic extended vset-automaton (query complexity only — this cost
-// vanishes in data complexity, as the survey notes), the preprocessing
-// computes per-position liveness and jump tables over the product of
-// automaton states and document positions, and the enumeration phase walks
-// only "event boundaries" — positions where a marker set can fire on some
-// accepting run — skipping deterministic letter-only stretches in O(1) via
-// the jump pointers. Every node of the search tree is live (leads to at
-// least one output), so the delay between consecutive tuples is bounded by
-// the automaton size and variable count, independent of the document.
+// vanishes in data complexity, as the survey notes). The preprocessing
+// stores only what some run prefix of THIS document reaches: a forward
+// pass lists, per boundary, the states arrived at by a letter and the mask
+// edges that can fire there; a backward pass over those records marks
+// which of them lie on an accepting run and links each to the next
+// boundary where a live marker set fires. The enumeration phase walks only
+// such "event boundaries", skipping deterministic letter-only stretches in
+// O(1) via the jump links. Every node of the search tree is live (leads to
+// at least one output), so the delay between consecutive tuples is bounded
+// by the automaton size and variable count, independent of the document.
 package enum
 
 import (
-	"sync"
-
 	"docspanner/internal/automata"
 	"docspanner/internal/spans"
 )
 
-// Liveness flags of one (boundary, state) table cell, packed into one
-// byte so the preprocessing fills a third of the memory the three
-// separate bool tables used to.
-const (
-	fAliveNoMask = 1 << iota // accepting run from (q,i) whose next action is a letter (or i=n and final)
-	fAlive                   // accepting run from (q,i), mask at i still allowed
-	fFinishable              // pure-letter run from (q,i) to acceptance, no further masks
-)
+// arrival is one (state, boundary) configuration some run prefix reaches
+// by reading a letter (or the start configuration): no mask taken at its
+// boundary yet. The state itself is only needed while the next boundary
+// is being filled and is not kept. Links point to later boundaries, so
+// arrivals and fired edges form a DAG in index order. Indices are int32:
+// a document is limited to 2^31 stored records (about 700 MB of text at
+// three records a byte).
+type arrival struct {
+	next int32 // arrival of the letter successor at the next boundary; -1 if none
+	jump int32 // first live record in fires of the nearest arrival along next links, this one included, that has one; -1 if none
+}
+
+// fired is one mask edge taken at an arrival's boundary and followed by
+// the letter there. Only edges whose target reads that letter (at the last
+// boundary: whose target is final) are stored — the one-byte look-ahead
+// drops the rest before they cost anything.
+type fired struct {
+	mask automata.Mask
+	from int32 // the arrival it fires at
+	pos  int32 // 0-based boundary (markers precede the letter at pos)
+	next int32 // arrival after the target's letter step; -1 at the last boundary
+}
 
 // Enumerator holds the preprocessed data structures for one (spanner,
 // document) pair. After NewEnumerator returns, the tables are read-only:
@@ -39,165 +53,113 @@ const (
 // built and is never mutated here; its dense compilation is built once
 // and shared by its Enumerators).
 type Enumerator struct {
-	d   *automata.DEVA
-	c   *automata.CompiledDEVA
-	doc []byte
+	d *automata.DEVA
+	c *automata.CompiledDEVA
 
-	// Flat (n+1)×Q tables, indexed [i*nq+q].
-	flags     []uint8 // fAliveNoMask | fAlive | fFinishable
-	jump      []int32 // next boundary ≥ i with a live mask event, following letters; -1 if none
-	jumpState []int32 // automaton state at that boundary
-
-	tabs *enumTables // pooled backing storage of the tables above
+	arr        []arrival // grouped by boundary, ascending; arr[0] is the start
+	fires      []fired   // grouped by arrival, ascending, each group in MaskEdges (= mask) order
+	finishable []bool    // per arrival: a pure-letter run from it accepts
 }
 
-// tablePool recycles preprocessing tables between Enumerators: one
-// request's O(|doc|·|Q|) tables serve the next request instead of the
-// garbage collector. Release hands them back.
-var tablePool sync.Pool // *enumTables
+// Release does nothing. The tables are a few dozen bytes per document
+// byte and go to the garbage collector with the Enumerator; the method
+// stays because the benchmark harness calls it.
+func (e *Enumerator) Release() {}
 
-type enumTables struct {
-	flags []uint8
-	ints  []int32 // jump and jumpState, one backing array
-}
-
-func getTables(cells int) *enumTables {
-	if v := tablePool.Get(); v != nil {
-		t := v.(*enumTables)
-		if cap(t.flags) >= cells && cap(t.ints) >= 2*cells {
-			t.flags = t.flags[:cells]
-			t.ints = t.ints[:2*cells]
-			return t
-		}
-	}
-	return &enumTables{flags: make([]uint8, cells), ints: make([]int32, 2*cells)}
-}
-
-// Release returns the preprocessing tables to the shared pool. The
-// Enumerator must not be used afterwards; tuples already produced remain
-// valid (they never reference the tables). Callers that let an
-// Enumerator go out of scope without Release just fall back to the
-// garbage collector.
-func (e *Enumerator) Release() {
-	if e.tabs == nil {
-		return
-	}
-	tablePool.Put(e.tabs)
-	e.tabs, e.flags, e.jump, e.jumpState = nil, nil, nil, nil
-}
-
-// NewEnumerator runs the preprocessing phase: time and space O(|doc|·|Q|)
-// for the fixed automaton (linear in the document). Transitions are read
-// from the dense compiled tables, not the construction-time maps. The
-// tables come from a shared pool; call Release when done with the
-// Enumerator to recycle them (optional but cheap).
+// NewEnumerator runs the preprocessing phase: two passes over the
+// document, time and space proportional to the configurations its run
+// prefixes reach — at most |doc|·|Q|, and a handful per byte when the
+// automaton keeps few states alive at a time (independent of |Q|).
+// Transitions are read from the dense compiled tables, not the
+// construction-time maps.
 func NewEnumerator(d *automata.DEVA, doc []byte) *Enumerator {
 	n := len(doc)
 	c := d.Compiled()
-	nq := c.NQ
-	cells := (n + 1) * nq
-	t := getTables(cells)
+	// Room for three runs alive side by side and a mask every fourth byte
+	// — what line-oriented extraction patterns need; append regrows the
+	// tables for automata that keep more alive.
 	e := &Enumerator{
-		d:         d,
-		c:         c,
-		doc:       doc,
-		flags:     t.flags,
-		jump:      t.ints[:cells:cells],
-		jumpState: t.ints[cells : 2*cells : 2*cells],
-		tabs:      t,
+		d:     d,
+		c:     c,
+		arr:   make([]arrival, 1, 3*n+16),
+		fires: make([]fired, 0, n/4+16),
 	}
-	// The letter-step fill below only writes cells with a live letter
-	// transition; everything else must read as zero.
-	clear(e.flags)
+	e.arr[0].next = -1
 
-	// Boundary n.
-	base := n * nq
-	for q := 0; q < nq; q++ {
-		if c.Final[q] {
-			e.flags[base+q] = fAliveNoMask | fFinishable
+	// Forward: cur holds the states of arr[lo:hi], the arrivals at
+	// boundary i; whatever they reach is appended behind hi — states to
+	// nxt, arrivals to arr — as boundary i+1. at[q] names q's arrival
+	// there, valid only if it lies behind hi and nxt agrees.
+	cur, nxt := make([]int32, 1, c.NQ), make([]int32, 0, c.NQ)
+	cur[0] = int32(c.Start)
+	at := make([]int32, c.NQ)
+	reach := func(q int32, hi int) int32 {
+		if j := int(at[q]) - hi; j >= 0 && j < len(nxt) && nxt[j] == q {
+			return at[q]
 		}
+		at[q] = int32(len(e.arr))
+		nxt = append(nxt, q)
+		e.arr = append(e.arr, arrival{next: -1})
+		return at[q]
 	}
-	for q := 0; q < nq; q++ {
-		ix := base + q
-		alive := e.flags[ix]&fAliveNoMask != 0
-		if !alive {
+	lo := 0
+	for i := 0; i < n && len(cur) > 0; i++ {
+		steps := c.StepsFor(doc[i])
+		if steps == nil {
+			cur = cur[:0] // no transition reads this byte: every run prefix ends here
+			break
+		}
+		hi := len(e.arr)
+		for j, q := range cur {
 			for _, me := range c.MaskEdges[q] {
-				if e.flags[base+int(me.To)]&fAliveNoMask != 0 {
-					alive = true
-					break
+				if s := steps[me.To]; s >= 0 {
+					e.fires = append(e.fires, fired{mask: me.Mask, from: int32(lo + j), pos: int32(i), next: reach(s, hi)})
 				}
 			}
+			if s := steps[q]; s >= 0 {
+				nx := reach(s, hi)
+				e.arr[lo+j].next = nx
+			}
 		}
-		if alive {
-			e.flags[ix] |= fAlive
-		}
-		if e.hasEvent(n, q) {
-			e.jump[ix] = int32(n)
-			e.jumpState[ix] = int32(q)
-		} else {
-			e.jump[ix] = -1
-			e.jumpState[ix] = -1
+		cur, nxt, lo = nxt, cur[:0], hi
+	}
+	// cur is what reached the last boundary: acceptance is the look-ahead.
+	e.finishable = make([]bool, len(e.arr))
+	for j, q := range cur {
+		e.finishable[lo+j] = c.Final[q]
+		for _, me := range c.MaskEdges[q] {
+			if c.Final[me.To] {
+				e.fires = append(e.fires, fired{mask: me.Mask, from: int32(lo + j), pos: int32(n), next: -1})
+			}
 		}
 	}
 
-	// Boundaries n-1 .. 0. steps is the dense successor row for the
-	// letter at i (nil when the automaton never reads that byte).
-	for i := n - 1; i >= 0; i-- {
-		steps := c.StepsFor(e.doc[i])
-		row := e.flags[i*nq : (i+1)*nq]
-		next := e.flags[(i+1)*nq : (i+2)*nq]
-		if steps != nil {
-			// fAliveNoMask of (q,i) = fAlive of (step(q),i+1);
-			// fFinishable propagates unchanged along the letter edge.
-			for q := 0; q < nq; q++ {
-				if s := steps[q]; s >= 0 {
-					var f uint8
-					if next[s]&fAlive != 0 {
-						f = fAliveNoMask
-					}
-					row[q] = f | next[s]&fFinishable
-				}
-			}
+	// Backward: every link points to a larger index, so one descending
+	// sweep sees an arrival's successors before the arrival itself; k
+	// walks fires in step.
+	k := int32(len(e.fires))
+	for x := int32(len(e.arr)) - 1; x >= 0; x-- {
+		a := &e.arr[x]
+		a.jump = -1
+		if a.next >= 0 {
+			e.finishable[x] = e.finishable[a.next]
+			a.jump = e.arr[a.next].jump
 		}
-		for q := 0; q < nq; q++ {
-			ix := i*nq + q
-			alive := row[q]&fAliveNoMask != 0
-			if !alive {
-				for _, me := range c.MaskEdges[q] {
-					if row[int(me.To)]&fAliveNoMask != 0 {
-						alive = true
-						break
-					}
-				}
-			}
-			if alive {
-				row[q] |= fAlive
-			}
-			if e.hasEvent(i, q) {
-				e.jump[ix] = int32(i)
-				e.jumpState[ix] = int32(q)
-			} else if steps != nil && steps[q] >= 0 {
-				e.jump[ix] = e.jump[(i+1)*nq+int(steps[q])]
-				e.jumpState[ix] = e.jumpState[(i+1)*nq+int(steps[q])]
-			} else {
-				e.jump[ix] = -1
-				e.jumpState[ix] = -1
+		for ; k > 0 && e.fires[k-1].from == x; k-- {
+			if e.live(e.fires[k-1]) {
+				a.jump = k - 1
 			}
 		}
 	}
 	return e
 }
 
-// hasEvent reports whether some mask can fire at (q, i) leading to a
-// configuration that completes without another mask at i.
-func (e *Enumerator) hasEvent(i, q int) bool {
-	nq := e.c.NQ
-	for _, me := range e.c.MaskEdges[q] {
-		if e.flags[i*nq+int(me.To)]&fAliveNoMask != 0 {
-			return true
-		}
-	}
-	return false
+// live reports whether an accepting run continues after f: at the last
+// boundary the look-ahead already checked acceptance; elsewhere the
+// arrival behind the letter must finish by letters alone or reach another
+// live mask.
+func (e *Enumerator) live(f fired) bool {
+	return f.next < 0 || e.finishable[f.next] || e.arr[f.next].jump >= 0
 }
 
 // event is one marker-set firing.
@@ -211,52 +173,38 @@ type event struct {
 // (the deterministic automaton assigns one run per tuple).
 func (e *Enumerator) Each(f func(t spans.Tuple) bool) {
 	events := make([]event, 0, 2*len(e.d.Index.Vars())+1)
-	e.dfs(e.d.Start, 0, events, f)
+	e.dfs(0, events, f)
 }
 
-// dfs enumerates all accepting runs from state q at boundary i (no mask
-// taken at i yet), with events collected so far. Returns false if the
+// dfs enumerates all accepting runs from arrival x (no mask taken at its
+// boundary yet), with events collected so far. Returns false if the
 // callback aborted.
-func (e *Enumerator) dfs(q, i int, events []event, f func(spans.Tuple) bool) bool {
-	nq := e.c.NQ
-	if e.flags[i*nq+q]&fFinishable != 0 {
+func (e *Enumerator) dfs(x int32, events []event, f func(spans.Tuple) bool) bool {
+	if e.finishable[x] {
 		if !f(e.tuple(events)) {
 			return false
 		}
 	}
-	n := len(e.doc)
-	for {
-		j := e.jump[i*nq+q]
-		if j < 0 {
-			return true
-		}
-		qj := int(e.jumpState[i*nq+q])
-		jb := int(j)
-		for _, me := range e.c.MaskEdges[qj] {
-			if e.flags[jb*nq+int(me.To)]&fAliveNoMask == 0 {
+	for k := e.arr[x].jump; k >= 0; k = e.arr[x].jump {
+		for x = e.fires[k].from; int(k) < len(e.fires) && e.fires[k].from == x; k++ {
+			fd := e.fires[k]
+			if !e.live(fd) {
 				continue
 			}
-			ev := append(events, event{jb, me.Mask})
-			if jb == n {
+			ev := append(events, event{int(fd.pos), fd.mask})
+			if fd.next < 0 {
 				if !f(e.tuple(ev)) {
 					return false
 				}
-				continue
-			}
-			s := e.c.Step(int(me.To), e.doc[jb])
-			if !e.dfs(int(s), jb+1, ev, f) {
+			} else if !e.dfs(fd.next, ev, f) {
 				return false
 			}
 		}
-		if jb == n {
-			return true
+		if x = e.arr[x].next; x < 0 {
+			break
 		}
-		s := e.c.Step(qj, e.doc[jb])
-		if s < 0 {
-			return true
-		}
-		q, i = int(s), jb+1
 	}
+	return true
 }
 
 // tuple converts an event list into a span tuple.
@@ -308,56 +256,42 @@ func (e *Enumerator) CountTotal(vars spans.VarSet, poll func() bool) (n int, com
 	if !ok {
 		return 0, true
 	}
-	return e.countWalk(e.d.Start, 0, 0, need, 0, poll)
+	return e.countWalk(0, 0, need, 0, poll)
 }
 
 // countWalk is the dfs walk with the event list replaced by the
 // accumulated mask — constant space per tuple, no allocation at all.
-func (e *Enumerator) countWalk(q, i int, acc, need automata.Mask, n int, poll func() bool) (int, bool) {
-	nq := e.c.NQ
-	if e.flags[i*nq+q]&fFinishable != 0 && acc&need == need {
+func (e *Enumerator) countWalk(x int32, acc, need automata.Mask, n int, poll func() bool) (int, bool) {
+	if e.finishable[x] && acc&need == need {
 		n++
 		if poll != nil && !poll() {
 			return n, false
 		}
 	}
-	ln := len(e.doc)
-	for {
-		j := e.jump[i*nq+q]
-		if j < 0 {
-			return n, true
-		}
-		qj := int(e.jumpState[i*nq+q])
-		jb := int(j)
-		for _, me := range e.c.MaskEdges[qj] {
-			if e.flags[jb*nq+int(me.To)]&fAliveNoMask == 0 {
+	for k := e.arr[x].jump; k >= 0; k = e.arr[x].jump {
+		for x = e.fires[k].from; int(k) < len(e.fires) && e.fires[k].from == x; k++ {
+			fd := e.fires[k]
+			if !e.live(fd) {
 				continue
 			}
-			if jb == ln {
-				if (acc|me.Mask)&need == need {
-					n++
-					if poll != nil && !poll() {
-						return n, false
-					}
+			m := acc | fd.mask
+			if fd.next >= 0 {
+				var done bool
+				if n, done = e.countWalk(fd.next, m, need, n, poll); !done {
+					return n, false
 				}
-				continue
-			}
-			s := e.c.Step(int(me.To), e.doc[jb])
-			var done bool
-			n, done = e.countWalk(int(s), jb+1, acc|me.Mask, need, n, poll)
-			if !done {
-				return n, false
+			} else if m&need == need {
+				n++
+				if poll != nil && !poll() {
+					return n, false
+				}
 			}
 		}
-		if jb == ln {
-			return n, true
+		if x = e.arr[x].next; x < 0 {
+			break
 		}
-		s := e.c.Step(qj, e.doc[jb])
-		if s < 0 {
-			return n, true
-		}
-		q, i = int(s), jb+1
 	}
+	return n, true
 }
 
 // All materializes the full relation (mainly for tests; defeats the point

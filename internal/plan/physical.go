@@ -174,7 +174,6 @@ func (s *scanPhys) each(src Source, f func(spans.Tuple) bool) bool {
 	} else {
 		e.Each(stopAware(f, &stopped))
 	}
-	e.Release()
 	return !stopped
 }
 
@@ -338,11 +337,11 @@ func (pl *Planned) Enumerate(src Source, f func(spans.Tuple) bool) {
 // plan is a single constant-delay scan. On a plain source such plans
 // first try the counting DP of internal/enum — output-independent time,
 // no preprocessing tables — and fall back to the mask-accumulating
-// enumeration walk when the DP declines (many required variables, or an
-// int64-overflowing count); on an SLP source they count through the
-// compressed index's tuple-free walk. poll, if non-nil, is the
-// cancellation hook of the service layer: it runs once per document
-// position on the DP path and once per counted tuple on the walk paths;
+// enumeration walk when the DP declines (a count of run prefixes that
+// overflows int64); on an SLP source they count through the compressed
+// index's tuple-free walk. poll, if non-nil, is the cancellation hook of
+// the service layer: it runs once every 4096 document positions on the DP
+// path and once per counted tuple on the walk paths;
 // returning false aborts the count, reporting complete=false with the
 // partial count (zero on the DP path — it counts nothing until it
 // finishes). Other plan shapes fall back to counting the enumeration.
@@ -361,10 +360,7 @@ func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 		if n, complete, ok := enum.CountTotalFast(d, src.plain, vars, poll); ok {
 			return n, complete
 		}
-		e := enum.NewEnumerator(d, src.plain)
-		n, complete := e.CountTotal(vars, poll)
-		e.Release()
-		return n, complete
+		return enum.NewEnumerator(d, src.plain).CountTotal(vars, poll)
 	}
 	n, complete := 0, true
 	pl.Enumerate(src, func(spans.Tuple) bool {
