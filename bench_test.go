@@ -939,3 +939,88 @@ func BenchmarkE14EvalSharded(b *testing.B) {
 		}
 	}
 }
+
+// ---------- E25: the materializing backend on the loganalysis core query ----------
+
+const logAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789 :=[]>-.\n"
+
+// serviceLog generates whole "[hh:mm] svc req=rN msg=MSG\n" lines up to
+// size bytes — the log layout of examples/loganalysis and of bench/.
+func serviceLog(size int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	services := []string{"auth", "billing", "gateway", "search"}
+	messages := []string{"timeout", "retry", "ok", "cache miss", "denied"}
+	var sb strings.Builder
+	for {
+		line := fmt.Sprintf("[%02d:%02d] %s req=r%d msg=%s\n", rng.Intn(24), rng.Intn(60),
+			services[rng.Intn(len(services))], rng.Intn(8), messages[rng.Intn(len(messages))])
+		if sb.Len()+len(line) > size {
+			return []byte(sb.String())
+		}
+		sb.WriteString(line)
+	}
+}
+
+// dupOperands are the two line patterns the examples/loganalysis core
+// query joins; they share no variable.
+func dupOperands(opts Options) (l, r *Spanner) {
+	opts.Alphabet = []byte(logAlphabet)
+	l = MustCompile(`(.*\n)?\[[0-9][0-9]:[0-9][0-9]\] [a-z]+ req=!r1{r[0-9]}[ ]msg=!m1{[a-z ]+}\n.*`, opts)
+	r = MustCompile(`.*\n\[[0-9][0-9]:[0-9][0-9]\] [a-z]+ req=!r2{r[0-9]}[ ]msg=!m2{[a-z ]+}\n(.*\n?)?`, opts)
+	return l, r
+}
+
+// dupQuery is the examples/loganalysis core query — requests that logged
+// the same message twice — with its operators in the order bench/gen.go's
+// srcDup spells them: π{r1,m1}(ς={r1,r2}(ς={m1,m2}(L ⋈ R))).
+func dupQuery(opts Options) *Query {
+	l, r := dupOperands(opts)
+	return MustQ(l).Join(MustQ(r)).SelectEqual("m1", "m2").SelectEqual("r1", "r2").Project("r1", "m1")
+}
+
+// BenchmarkMaterializeDup evaluates dupQuery on service logs: the
+// materializing backend's cost is the content-keyed equi-join (about a
+// fifth of |L|·|R| rows, five messages), not the cross product.
+func BenchmarkMaterializeDup(b *testing.B) {
+	q := dupQuery(Options{})
+	for _, kib := range []int{4, 16} {
+		doc := serviceLog(kib<<10, 1)
+		want := q.Count(doc)
+		b.Run(fmt.Sprintf("log=%dKiB", kib), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n := q.Count(doc); n != want || n == 0 {
+					b.Fatal(n, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDupEvalAllocs gates what one count of dupQuery allocates on a 4 KiB
+// log: a few allocations per operand tuple (the scans still emit maps) and
+// per result row, and nothing per pair of operand tuples. The same call
+// allocated 60,104 times when the backend built the operands' cross
+// product as map tuples (EXPERIMENTS.md E25).
+func TestDupEvalAllocs(t *testing.T) {
+	const crossProductAllocs = 60104
+	doc := serviceLog(4<<10, 1)
+	l, r := dupOperands(Options{})
+	q := dupQuery(Options{})
+	ctx := context.Background()
+	want, err := q.CountSource(ctx, Text(doc))
+	if err != nil || want == 0 {
+		t.Fatalf("count %d, err %v", want, err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if n, err := q.CountSource(ctx, Text(doc)); n != want || err != nil {
+			t.Fatalf("count %d (err %v), want %d", n, err, want)
+		}
+	})
+	rows := l.Count(doc) + r.Count(doc) + want
+	t.Logf("%.0f allocations for |L|+|R|+|out| = %d rows", allocs, rows)
+	if allocs > float64(4*rows) || allocs > crossProductAllocs/10 {
+		t.Errorf("one dup count allocates %.0f times: want at most 4 per operand and result row (%d rows) and a tenth of the cross product's %d",
+			allocs, rows, crossProductAllocs)
+	}
+}

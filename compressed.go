@@ -243,7 +243,7 @@ func (q *Query) EvalCompressed(d *Document) *Relation { return q.plan().Eval(Com
 // EnumerateCompressed is EnumerateSource on an SLP-compressed document,
 // without cancellation.
 func (q *Query) EnumerateCompressed(d *Document, f func(Tuple) bool) {
-	q.plan().Enumerate(Compressed(d, nil), f)
+	q.plan().Enumerate(Compressed(d, nil), nil, f)
 }
 
 // CountCompressed counts the query's result tuples on an SLP-compressed

@@ -117,6 +117,46 @@ func TestSharedQueryConcurrentEval(t *testing.T) {
 	})
 }
 
+// TestSharedMaterializingQueryConcurrentUse: the row operators of the
+// materializing backend keep nothing outside a call, so one planned query
+// with residual algebra serves every verb from 8 goroutines at once.
+func TestSharedMaterializingQueryConcurrentUse(t *testing.T) {
+	doc := serviceLog(2<<10, 3)
+	d := CompressDocument(doc)
+	want := dupQuery(Options{}).EvalNaive(doc)
+	if want.Len() == 0 {
+		t.Fatal("the log has no repeated message: the test exercises nothing")
+	}
+
+	q := dupQuery(Options{})
+	if q.Streaming() {
+		t.Fatalf("the plan does not materialize:\n%s", q.Explain())
+	}
+	runShared(t, 6, func(g, rep int) error {
+		switch (g + rep) % 4 {
+		case 0:
+			if got := q.Eval(doc); !got.Equal(want) {
+				return fmt.Errorf("Eval = %v, want %v", got, want)
+			}
+		case 1:
+			if n := q.Count(doc); n != want.Len() {
+				return fmt.Errorf("Count = %d, want %d", n, want.Len())
+			}
+		case 2:
+			n := 0
+			q.Enumerate(doc, func(tu Tuple) bool { n++; return want.Contains(tu) })
+			if n != want.Len() {
+				return fmt.Errorf("Enumerate yielded %d tuples of the result, want %d", n, want.Len())
+			}
+		case 3:
+			if got := q.EvalCompressed(d); !got.Equal(want) {
+				return fmt.Errorf("EvalCompressed = %v, want %v", got, want)
+			}
+		}
+		return nil
+	})
+}
+
 func TestSharedNormalFormConcurrentEval(t *testing.T) {
 	doc := []byte("ab,ab")
 	opts := Options{Alphabet: []byte("ab,")}

@@ -206,7 +206,7 @@ func (s *Spanner) Explain() string { return s.plan().Explain() }
 // constant-delay walk, and refl-spanners abort the configuration search
 // instead of materializing the full relation first.
 func (s *Spanner) Enumerate(doc []byte, f func(Tuple) bool) {
-	s.plan().Enumerate(Text(doc), f)
+	s.plan().Enumerate(Text(doc), nil, f)
 }
 
 // Count returns the number of result tuples on doc.

@@ -41,9 +41,10 @@ func (c PlanConfig) maxDeterminize() int {
 //	       determinization the gate cannot see (it counts NFA states,
 //	       not DFA states).
 //	SP010  join-cost blowup: a join that survived rewriting whose
-//	       inputs share no variables (a materialized cross product), or
-//	       — under schemaless semantics — whose shared variables are
-//	       not always bound on a scan input, so ⊥-valued tuples join
+//	       inputs share no variables and that no enclosing selection
+//	       relates (a materialized cross product), or — under
+//	       schemaless semantics — whose shared variables are not always
+//	       bound on a scan input, so ⊥-valued tuples join
 //	       near-universally.
 //
 // Positions use the same "$"-path convention as the expression passes;
@@ -102,10 +103,15 @@ func checkDeterminizeBlowup(n *algebra.Plan, cfg PlanConfig) []Diagnostic {
 
 // checkJoinBlowup is the SP010 pass. A cross product under an enclosing
 // selection class that relates both sides is exempt: ς=(a ⋈ b) over
-// disjoint variable sets is the canonical core-spanner query shape, the
-// selection filters the product, and the cost is intended. Likewise a
-// variable-free side — the idiomatic boolean filter contributes at most
-// one tuple, so the "product" is a filter, not a blowup.
+// disjoint variable sets is the canonical core-spanner query shape, and
+// when the selection sits directly on the join the cost is gone — the
+// materializing backend evaluates it inside the join, as a hash equi-join
+// on factor content, and builds the product of no two tuples that
+// disagree. (A selection further up, a projection in between, still
+// filters a product that was built; it stays exempt as the shape's
+// intent.) Likewise a variable-free side — the idiomatic boolean filter
+// contributes at most one tuple, so the "product" is a filter, not a
+// blowup.
 func checkJoinBlowup(n *algebra.Plan, cfg PlanConfig, selZ []spans.VarSet) []Diagnostic {
 	if n.Kind != algebra.PJoin {
 		return nil
@@ -125,7 +131,7 @@ func checkJoinBlowup(n *algebra.Plan, cfg PlanConfig, selZ []spans.VarSet) []Dia
 				Severity: Warning,
 				Pos:      n.Path,
 				Message: fmt.Sprintf(
-					"join-cost blowup: join inputs with schemas %v and %v share no variables after rewriting, so the materializing backend builds their full cross product",
+					"join-cost blowup: join inputs with schemas %v and %v share no variables after rewriting and no selection relates them, so the materializing backend builds their full cross product",
 					acc, c.Vars()),
 				Hint: "join on a shared variable, or evaluate the sides as separate queries and combine outside the engine",
 			})

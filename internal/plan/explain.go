@@ -62,6 +62,11 @@ func explainNode(sb *strings.Builder, n physNode, depth int) {
 	for _, rw := range p.Rewrites {
 		fmt.Fprintf(sb, "%s  • %s\n", indent, rw)
 	}
+	if m, ok := n.(*matPhys); ok {
+		if lv, rv, ok := m.equiJoinKey(); ok {
+			fmt.Fprintf(sb, "%s  • physical: hash equi-join on content(%s)=content(%s) inside the join below\n", indent, lv, rv)
+		}
+	}
 	for _, c := range n.children() {
 		explainNode(sb, c, depth+1)
 	}

@@ -65,8 +65,27 @@ type physNode interface {
 	// streaming reports whether each() yields tuples incrementally
 	// (constant or polynomial delay) rather than materializing first.
 	streaming() bool
-	eval(src Source) *spans.Relation
-	each(src Source, f func(spans.Tuple) bool) bool
+	// rows materializes the node's relation in positional form for the
+	// operator above it; each yields its tuples, reporting false when f
+	// stopped it. poll (nil for none) is the cancellation hook of whatever
+	// materializes: it runs once every spans.PollEvery rows, and a node it
+	// stops returns nil rows, or false from each without a call of f. A
+	// streaming each materializes nothing and leaves polling to f.
+	rows(src Source, poll func() bool) *spans.Rows
+	each(src Source, poll func() bool, f func(spans.Tuple) bool) bool
+}
+
+// collectRows reads a leaf's distinct tuples into rows at the leaf.
+func collectRows(n physNode, src Source, poll func() bool) *spans.Rows {
+	out := spans.NewRows(n.lp().Vars())
+	complete := n.each(src, nil, func(t spans.Tuple) bool {
+		out.AppendTuple(t)
+		return out.Len()%spans.PollEvery != 0 || poll == nil || poll()
+	})
+	if !complete {
+		return nil
+	}
+	return out
 }
 
 // buildPhys selects a backend per logical node: scans become
@@ -144,18 +163,13 @@ func (s *scanPhys) sem() vset.Semantics {
 	return vset.Schemaless
 }
 
-func (s *scanPhys) eval(src Source) *spans.Relation {
-	if s.naive {
-		return vset.Eval(s.plan.Auto, src.Bytes(), s.sem())
-	}
-	out := spans.NewRelation()
-	s.each(src, func(t spans.Tuple) bool { out.Add(t); return true })
-	return out
+func (s *scanPhys) rows(src Source, poll func() bool) *spans.Rows {
+	return collectRows(s, src, poll)
 }
 
-func (s *scanPhys) each(src Source, f func(spans.Tuple) bool) bool {
+func (s *scanPhys) each(src Source, _ func() bool, f func(spans.Tuple) bool) bool {
 	if s.naive {
-		return eachOf(s.eval(src), f)
+		return eachOf(vset.Eval(s.plan.Auto, src.Bytes(), s.sem()), f)
 	}
 	stopped := false
 	if src.text != nil {
@@ -188,11 +202,17 @@ func (x *extScanPhys) children() []physNode { return nil }
 func (x *extScanPhys) backend() string      { return "refl-search" }
 func (x *extScanPhys) streaming() bool      { return true }
 
-func (x *extScanPhys) eval(src Source) *spans.Relation {
-	return x.plan.Ext.Eval(src.Bytes(), x.functional)
+// rows goes through the spanner's Eval: its search may find a tuple
+// more than once, and only Eval removes the repetitions.
+func (x *extScanPhys) rows(src Source, _ func() bool) *spans.Rows {
+	out := spans.NewRows(x.plan.Ext.Vars())
+	for _, t := range x.plan.Ext.Eval(src.Bytes(), x.functional).Tuples() {
+		out.AppendTuple(t)
+	}
+	return out
 }
 
-func (x *extScanPhys) each(src Source, f func(spans.Tuple) bool) bool {
+func (x *extScanPhys) each(src Source, _ func() bool, f func(spans.Tuple) bool) bool {
 	stopped := false
 	x.plan.Ext.Enumerate(src.Bytes(), x.functional, stopAware(f, &stopped))
 	return !stopped
@@ -208,12 +228,17 @@ func (e *emptyPhys) children() []physNode { return nil }
 func (e *emptyPhys) backend() string      { return "empty" }
 func (e *emptyPhys) streaming() bool      { return true }
 
-func (e *emptyPhys) eval(Source) *spans.Relation              { return spans.NewRelation() }
-func (e *emptyPhys) each(Source, func(spans.Tuple) bool) bool { return true }
+func (e *emptyPhys) rows(Source, func() bool) *spans.Rows                  { return spans.NewRows(e.plan.Schema) }
+func (e *emptyPhys) each(Source, func() bool, func(spans.Tuple) bool) bool { return true }
 
-// matPhys materializes its children and combines them with the
-// relational operators — the classical bottom-up evaluation, used for
-// whatever algebraic structure survives the rewrites.
+// matPhys evaluates an algebra operator on the positional relations
+// (spans.Rows) of its children — whatever algebraic structure survives the
+// rewrites. Scans are read into rows at the leaves, every interior operator
+// works on positions (hash join, column selection and remapping, hashed
+// duplicate removal), and map tuples are built only where the root hands
+// its rows out. One shape is not evaluated bottom-up: string-equality
+// selections directly over a join run inside it (selectedJoin), so what is
+// materialized is the equi-join on factor content, not the join below it.
 type matPhys struct {
 	plan *algebra.Plan
 	kids []physNode
@@ -224,34 +249,108 @@ func (m *matPhys) children() []physNode { return m.kids }
 func (m *matPhys) backend() string      { return "materialize" }
 func (m *matPhys) streaming() bool      { return false }
 
-func (m *matPhys) each(src Source, f func(spans.Tuple) bool) bool {
-	return eachOf(m.eval(src), f)
+func (m *matPhys) each(src Source, poll func() bool, f func(spans.Tuple) bool) bool {
+	rows := m.rows(src, poll)
+	if rows == nil {
+		return false
+	}
+	for i := 0; i < rows.Len(); i++ {
+		if !f(rows.Tuple(i)) {
+			return false
+		}
+	}
+	return true
 }
 
-func (m *matPhys) eval(src Source) *spans.Relation {
+// selectedJoin returns, for a selection at the top of a chain of
+// selections directly over a join, that join and the chain's classes.
+func (m *matPhys) selectedJoin() (join *matPhys, classes []spans.VarSet) {
+	for m.plan.Kind == algebra.PSelect {
+		classes = append(classes, m.plan.Z)
+		kid, ok := m.kids[0].(*matPhys)
+		if !ok {
+			return nil, nil
+		}
+		m = kid
+	}
+	if m.plan.Kind != algebra.PJoin || len(m.kids) < 2 {
+		return nil, nil
+	}
+	return m, classes
+}
+
+// equiJoinKey reports, for EXPLAIN, whether m is a selection the join
+// below it takes into its hash key, and on the content of which variables.
+func (m *matPhys) equiJoinKey() (lv, rv spans.Var, ok bool) {
+	if m.plan.Kind != algebra.PSelect {
+		return "", "", false
+	}
+	join, _ := m.selectedJoin()
+	if join == nil {
+		return "", "", false
+	}
+	last := len(join.kids) - 1
+	var left spans.VarSet
+	for _, k := range join.kids[:last] {
+		left = left.Union(k.lp().Vars())
+	}
+	return spans.EquiJoinKey(left, join.kids[last].lp().Vars(), m.plan.Z)
+}
+
+func (m *matPhys) rows(src Source, poll func() bool) *spans.Rows {
 	switch m.plan.Kind {
 	case algebra.PUnion:
-		out := m.kids[0].eval(src)
-		for _, k := range m.kids[1:] {
-			out = out.Union(k.eval(src))
-		}
-		return out
+		return m.fold(src, poll, func(acc, r *spans.Rows, _ bool) *spans.Rows { return acc.Union(r, poll) })
 	case algebra.PJoin:
-		out := m.kids[0].eval(src)
-		for _, k := range m.kids[1:] {
-			out = out.Join(k.eval(src))
-		}
-		return out
-	case algebra.PProject:
-		return m.kids[0].eval(src).Project(m.plan.Keep)
+		return m.join(src, poll, nil)
 	case algebra.PSelect:
-		// A selection compares substrings of the document, so it is the
-		// one interior operator that asks an SLP source for its text.
-		return m.kids[0].eval(src).SelectEqual(src.Bytes(), m.plan.Z)
+		if join, classes := m.selectedJoin(); join != nil {
+			return join.join(src, poll, classes)
+		}
+	}
+	in := m.kids[0].rows(src, poll)
+	if in == nil {
+		return nil
+	}
+	switch m.plan.Kind {
+	case algebra.PProject:
+		return in.Project(m.plan.Keep, poll)
+	case algebra.PSelect:
+		return in.SelectEqual(src.Bytes(), m.plan.Z, poll)
 	case algebra.PFuse:
-		return m.kids[0].eval(src).Fuse(m.plan.Lambda, m.plan.Target)
+		return in.Fuse(m.plan.Lambda, m.plan.Target, poll)
 	}
 	panic("plan: materializing backend: unexpected kind " + m.plan.Kind.String())
+}
+
+// join evaluates a join and the selections of selectedJoin over it. The
+// classes constrain the whole join, so they go into the last step of the
+// fold. A selection compares substrings of the document: it is the one
+// interior operator that asks an SLP source for its text.
+func (m *matPhys) join(src Source, poll func() bool, classes []spans.VarSet) *spans.Rows {
+	return m.fold(src, poll, func(acc, r *spans.Rows, last bool) *spans.Rows {
+		if !last || len(classes) == 0 {
+			return acc.Join(r, poll)
+		}
+		return acc.JoinSelect(r, src.Bytes(), classes, poll)
+	})
+}
+
+// fold combines the operands' relations left to right; last marks the
+// final step.
+func (m *matPhys) fold(src Source, poll func() bool, op func(acc, r *spans.Rows, last bool) *spans.Rows) *spans.Rows {
+	acc := m.kids[0].rows(src, poll)
+	for i, k := range m.kids[1:] {
+		if acc == nil {
+			return nil
+		}
+		r := k.rows(src, poll)
+		if r == nil {
+			return nil
+		}
+		acc = op(acc, r, i == len(m.kids)-2)
+	}
+	return acc
 }
 
 func eachOf(r *spans.Relation, f func(spans.Tuple) bool) bool {
@@ -314,23 +413,24 @@ func (pl *Planned) DistinctEnumeration() bool {
 
 // Eval materializes the plan's relation on src.
 func (pl *Planned) Eval(src Source) *spans.Relation {
-	if len(pl.requireTotal) == 0 {
-		return pl.root.eval(src)
-	}
 	out := spans.NewRelation()
-	pl.Enumerate(src, func(t spans.Tuple) bool { out.Add(t); return true })
+	pl.Enumerate(src, nil, func(t spans.Tuple) bool { out.Add(t); return true })
 	return out
 }
 
 // Enumerate streams the plan's tuples on src; f returning false stops
 // the enumeration early. On an SLP source the raw text is only
-// decompressed if an operator requires it.
-func (pl *Planned) Enumerate(src Source, f func(spans.Tuple) bool) {
+// decompressed if an operator requires it. poll, if non-nil, is the
+// cancellation hook for what a plan with residual algebra materializes
+// before its first tuple: the operators call it once every
+// spans.PollEvery rows they read or emit, and when it returns false the
+// enumeration ends without a call of f. Between tuples f is the hook.
+func (pl *Planned) Enumerate(src Source, poll func() bool, f func(spans.Tuple) bool) {
 	if rt := pl.requireTotal; len(rt) > 0 {
 		yield := f
 		f = func(t spans.Tuple) bool { return !t.TotalOn(rt) || yield(t) }
 	}
-	pl.root.each(src, f)
+	pl.root.each(src, poll, f)
 }
 
 // CountPoll counts result tuples without materializing them whenever the
@@ -344,7 +444,10 @@ func (pl *Planned) Enumerate(src Source, f func(spans.Tuple) bool) {
 // path and once per counted tuple on the walk paths;
 // returning false aborts the count, reporting complete=false with the
 // partial count (zero on the DP path — it counts nothing until it
-// finishes). Other plan shapes fall back to counting the enumeration.
+// finishes). A plan with residual algebra counts the rows of its root
+// relation and builds no tuple; poll runs inside its operators as in
+// Enumerate, and an aborted count is zero. The remaining scans (naive,
+// refl) fall back to counting the enumeration.
 func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 	if s, ok := pl.root.(*scanPhys); ok && !s.naive {
 		// Tuples must be total on the plan-level requirement plus, under
@@ -362,8 +465,15 @@ func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 		}
 		return enum.NewEnumerator(d, src.plain).CountTotal(vars, poll)
 	}
+	if m, ok := pl.root.(*matPhys); ok {
+		rows := m.rows(src, poll)
+		if rows == nil {
+			return 0, false
+		}
+		return rows.CountTotal(pl.requireTotal), true
+	}
 	n, complete := 0, true
-	pl.Enumerate(src, func(spans.Tuple) bool {
+	pl.Enumerate(src, nil, func(spans.Tuple) bool {
 		n++
 		if poll != nil && !poll() {
 			complete = false

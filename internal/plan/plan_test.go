@@ -199,8 +199,53 @@ func TestCountAndEnumerate(t *testing.T) {
 		t.Errorf("Count = %d, want 2", got)
 	}
 	n := 0
-	pl2.Enumerate(Text([]byte("aa")), func(spans.Tuple) bool { n++; return false })
+	pl2.Enumerate(Text([]byte("aa")), nil, func(spans.Tuple) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early termination delivered %d tuples", n)
+	}
+}
+
+// Selections directly over a join are evaluated inside it. EXPLAIN says
+// so for the classes the join keys on — a variable on each side, none
+// shared by both — and for no other; either way the relation is the
+// reference's, and a materializing root counts its rows total on the
+// root filter.
+func TestSelectionsRunInsideTheJoin(t *testing.T) {
+	const note = "physical: hash equi-join on content("
+	l, r := prim(t, ".*!x{a+}!s{b+}.*"), prim(t, ".*!s{b+}!y{a+}(!w{b}|a*)")
+	keyed := algebra.SelectEq{Z: spans.NewVarSet("x", "y"), Sub: algebra.Join{L: l, R: r}}
+	shared := algebra.SelectEq{Z: spans.NewVarSet("s", "w"), Sub: algebra.Join{L: l, R: r}}
+	apart := algebra.SelectEq{Z: spans.NewVarSet("x", "y"), Sub: algebra.Project{Keep: spans.NewVarSet("x", "y"), Sub: algebra.Join{L: l, R: r}}}
+	docs := []string{"", "abab", "aabbaab", "abbabbab", "babaabab"}
+	for name, c := range map[string]struct {
+		e    algebra.Expr
+		note string
+	}{
+		"keyed":                 {keyed, note + "x)=content(y) inside the join below"},
+		"stacked":               {algebra.SelectEq{Z: spans.NewVarSet("s", "w"), Sub: keyed}, note + "x)=content(y) inside the join below"},
+		"on a shared variable":  {shared, ""},
+		"projection in between": {apart, ""},
+	} {
+		for _, opts := range []Options{{DisableRewrites: true}, {DisableRewrites: true, Schemaless: true}} {
+			pl := New(c.e, opts)
+			if ex := pl.Explain(); strings.Contains(ex, note) != (c.note != "") || !strings.Contains(ex, c.note) {
+				t.Errorf("%s: EXPLAIN should carry %q:\n%s", name, c.note, ex)
+			}
+			checkAgainstNaive(t, c.e, opts, docs...)
+		}
+	}
+
+	opts := Options{DisableRewrites: true, Schemaless: true, RequireTotal: spans.NewVarSet("w")}
+	pl := New(keyed, opts)
+	for _, doc := range docs {
+		want := 0
+		for _, tu := range keyed.Eval([]byte(doc), vset.Schemaless).Tuples() {
+			if tu.TotalOn(opts.RequireTotal) {
+				want++
+			}
+		}
+		if n, complete := pl.CountPoll(Text([]byte(doc)), nil); n != want || !complete {
+			t.Errorf("doc %q: CountPoll = %d (complete %t), want %d", doc, n, complete, want)
+		}
 	}
 }

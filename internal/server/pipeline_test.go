@@ -34,6 +34,39 @@ func TestBatchObservesDeadlineInsideADocument(t *testing.T) {
 	}
 }
 
+// TestEvalObservesDeadlineInsideAMaterializingJoin: ?timeout= reaches the
+// operators of a plan with residual algebra. The query is the unselected
+// cross product of two 4,000-tuple scans — 16 M rows, over a second of
+// work, that used to be built in full before the deadline was looked at.
+func TestEvalObservesDeadlineInsideAMaterializingJoin(t *testing.T) {
+	s := newTestServer(t, Config{})
+	doc := make([]byte, 4000)
+	for i := range doc {
+		doc[i] = byte('a' + i*7%26)
+	}
+	do(t, s, "PUT", "/docs/d", string(doc))
+	code, _ := do(t, s, "PUT", "/queries/cross",
+		`{"src": "join(.*!x{[a-z]}.*; .*!y{[a-z]}.*)", "fail_on": "never", "plan": {"disable_rewrites": true}}`)
+	mustStatus(t, code, 200, "register the cross product")
+
+	const deadline = 20 * time.Millisecond
+	// The bound is on wall time: a stall of the host may cost one attempt.
+	var elapsed time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		start := time.Now()
+		code, body := do(t, s, "GET", "/eval?query=cross&doc=d&timeout=20ms", "")
+		elapsed = time.Since(start)
+		mustStatus(t, code, 504, "materializing join past its deadline")
+		if !strings.Contains(fmt.Sprint(body["error"]), "deadline") {
+			t.Fatalf("timeout error: %v", body)
+		}
+		if elapsed < 10*deadline {
+			return
+		}
+	}
+	t.Fatalf("/eval noticed its %v deadline only after %v", deadline, elapsed)
+}
+
 // TestRenderErrorCountsA504Once: however a deadline reaches the
 // renderer — as a bare context error, or already mapped to a 504 by the
 // coordinator's clusterErr — the timeout counter moves by exactly one.

@@ -272,10 +272,13 @@ func Compressed(d *Document, text func() []byte) Source { return plan.SLP(d.Node
 // starts and then between consecutive tuples (a non-blocking poll of
 // ctx.Done, cheap next to the per-tuple work of any backend), so on a
 // streaming plan (Streaming() == true) cancellation is observed within
-// one tuple's delay. Plans with residual algebra materialize below the
-// root first; for those, cancellation is only observed while the
-// materialized tuples are being delivered. A nil ctx behaves like
-// context.Background().
+// one tuple's delay. A plan with residual algebra materializes below the
+// root before its first tuple; its operators make the same poll once
+// every 1024 rows they read or emit, so a deadline that falls inside a
+// join is observed there, no tuple is delivered, and the context's error
+// is returned. What is not interruptible is one leaf's own search on the
+// reference backends (NaiveBackend, refl-spanner scans). A nil ctx
+// behaves like context.Background().
 func (q *Query) EnumerateSource(ctx context.Context, src Source, f func(t Tuple) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -283,28 +286,38 @@ func (q *Query) EnumerateSource(ctx context.Context, src Source, f func(t Tuple)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	done := ctx.Done()
-	cancelled := false
-	q.plan().Enumerate(src, func(t Tuple) bool {
-		select {
-		case <-done:
-			cancelled = true
-			return false
-		default:
-		}
-		return f(t)
-	})
-	if cancelled {
+	poll := ctxPoll{done: ctx.Done()}
+	q.plan().Enumerate(src, poll.ok, func(t Tuple) bool { return poll.ok() && f(t) })
+	if poll.cancelled {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// ctxPoll is a context as evaluation's cancellation hook: ok is a
+// non-blocking poll of Done, and cancelled records that it has failed.
+type ctxPoll struct {
+	done      <-chan struct{}
+	cancelled bool
+}
+
+func (p *ctxPoll) ok() bool {
+	select {
+	case <-p.done:
+		p.cancelled = true
+		return false
+	default:
+		return true
+	}
 }
 
 // CountSource returns the number of result tuples on src, under the
 // cancellation contract of EnumerateSource; on cancellation the partial
 // count so far is returned alongside the context's error. Single-scan
 // plans count through the tuple-free walks — no tuples are built, the
-// context is polled per counted tuple.
+// context is polled per counted tuple. Plans with residual algebra count
+// the rows of the root relation, again without building a tuple; cancelled
+// inside an operator they have no partial count and return zero.
 func (q *Query) CountSource(ctx context.Context, src Source) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -312,15 +325,8 @@ func (q *Query) CountSource(ctx context.Context, src Source) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	done := ctx.Done()
-	n, complete := q.plan().CountPoll(src, func() bool {
-		select {
-		case <-done:
-			return false
-		default:
-			return true
-		}
-	})
+	poll := ctxPoll{done: ctx.Done()}
+	n, complete := q.plan().CountPoll(src, poll.ok)
 	if !complete {
 		return n, ctx.Err()
 	}
@@ -332,7 +338,7 @@ func (q *Query) CountSource(ctx context.Context, src Source) (int, error) {
 func (q *Query) Eval(doc []byte) *Relation { return q.plan().Eval(Text(doc)) }
 
 // Enumerate is EnumerateSource on plain text, without cancellation.
-func (q *Query) Enumerate(doc []byte, f func(t Tuple) bool) { q.plan().Enumerate(Text(doc), f) }
+func (q *Query) Enumerate(doc []byte, f func(t Tuple) bool) { q.plan().Enumerate(Text(doc), nil, f) }
 
 // Count returns the number of result tuples on doc.
 func (q *Query) Count(doc []byte) int {

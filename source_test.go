@@ -3,8 +3,10 @@ package docspanner
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestOnePathOverEverySource is the differential table of the single
@@ -17,21 +19,62 @@ func TestOnePathOverEverySource(t *testing.T) {
 	if err != nil || len(refl.requireTotal) == 0 {
 		t.Fatalf("AutoToCore: err %v, requireTotal %v", err, refl.requireTotal)
 	}
+	// The schemaless twins: optional captures, so ⊥ reaches the shared and
+	// the selected columns of the materializing operators.
+	sq := func(pattern string) *Query {
+		t.Helper()
+		s, err := Compile(pattern, Options{Alphabet: []byte("ab"), Schemaless: true})
+		if err != nil {
+			t.Fatalf("Compile(%q): %v", pattern, err)
+		}
+		return MustQ(s)
+	}
+	const equiJoin = "hash equi-join on content("
+	logDocs := []string{"", "[00:01] auth req=r1 msg=ok\n",
+		"[00:01] auth req=r1 msg=ok\n[00:02] auth req=r2 msg=cache miss\n[00:03] search req=r1 msg=ok\n" +
+			"[00:04] billing req=r2 msg=cache miss\n[00:05] auth req=r2 msg=ok\n[00:06] gateway req=r1 msg=ok\n"}
 	shapes := []struct {
 		name    string
 		q       *Query
-		explain string // must appear in the plan: the shape is what it claims
+		explain string   // must appear in the plan: the shape is what it claims
+		docs    []string // nil: the {a,b} documents below
 	}{
-		{"constant-delay scan", x, "constant-delay"},
-		{"naive scan", x.WithPlan(PlanOptions{NaiveBackend: true}), "nfa-search"},
-		{"refl ext-scan", xy.SelectEqual("x", "y").WithPlan(PlanOptions{ReflRewrite: true}), "refl-search"},
-		{"union", x.Union(abQuery(t, "a*!x{ba}(a|b)*")).WithPlan(keepTree), "∪"},
-		{"join", abQuery(t, ".*!x{ab}.*!j{a}.*").Join(x).WithPlan(keepTree), "⋈"},
-		{"project", xy.Project("x").WithPlan(keepTree), "π"},
-		{"select-eq", xy.SelectEqual("x", "y"), "ς="},
-		{"fuse", xy.Fuse("z", "x", "y").WithPlan(keepTree), "materialize"},
-		{"pruned-empty", x.Join(abQuery(t, ".*!x{ba}.*")), "empty"},
-		{"RequireTotal", refl, ""},
+		{"constant-delay scan", x, "constant-delay", nil},
+		{"naive scan", x.WithPlan(PlanOptions{NaiveBackend: true}), "nfa-search", nil},
+		{"refl ext-scan", xy.SelectEqual("x", "y").WithPlan(PlanOptions{ReflRewrite: true}), "refl-search", nil},
+		{"union", x.Union(abQuery(t, "a*!x{ba}(a|b)*")).WithPlan(keepTree), "∪", nil},
+		{"join", abQuery(t, ".*!x{ab}.*!j{a}.*").Join(x).WithPlan(keepTree), "⋈", nil},
+		{"project", xy.Project("x").WithPlan(keepTree), "π", nil},
+		{"select-eq", xy.SelectEqual("x", "y"), "ς=", nil},
+		{"fuse", xy.Fuse("z", "x", "y").WithPlan(keepTree), "materialize", nil},
+		{"pruned-empty", x.Join(abQuery(t, ".*!x{ba}.*")), "empty", nil},
+		{"RequireTotal", refl, "", nil},
+		{"dup", dupQuery(Options{}), equiJoin, logDocs},
+		{"dup schemaless", dupQuery(Options{Schemaless: true}), equiJoin, logDocs},
+		{"stacked selections over a join",
+			abQuery(t, ".*!x{a+}!u{b+}.*").Join(abQuery(t, ".*!y{a+}!v{b+}.*")).SelectEqual("u", "v").SelectEqual("x", "y").WithPlan(keepTree),
+			equiJoin + "u)=content(v)", nil},
+		{"stacked selections over a join, schemaless",
+			sq(".*(!x{a+}|b)!u{b+}.*").Join(sq(".*!y{a+}(!v{b+}|a).*")).SelectEqual("u", "v").SelectEqual("x", "y").WithPlan(keepTree),
+			equiJoin + "x)=content(y)", nil},
+		{"selection over a join with a shared variable",
+			abQuery(t, ".*!x{a+}!s{b}.*").Join(abQuery(t, ".*!s{b}!y{a+}.*")).SelectEqual("x", "y").WithPlan(keepTree),
+			equiJoin, nil},
+		{"selection over a join with a shared variable, schemaless",
+			sq(".*(!x{a+}|b)(!s{b}|a).*").Join(sq(".*(!s{b}|a)!y{a+}.*")).SelectEqual("x", "y").WithPlan(keepTree),
+			equiJoin, nil},
+		{"selection on the shared variable of a join",
+			abQuery(t, ".*!s{a+}b!x{a+}.*").Join(abQuery(t, ".*!s{a+}b.*")).SelectEqual("s", "x").WithPlan(keepTree),
+			"⋈", nil},
+		{"selection on the shared variable of a join, schemaless",
+			sq(".*(!s{a+}|b)b!x{a+}.*").Join(sq(".*!s{a+}b.*")).SelectEqual("s", "x").WithPlan(keepTree),
+			"⋈", nil},
+		{"union of two schemas under a join",
+			abQuery(t, ".*!x{ab}.*").Union(abQuery(t, ".*!x{a}!y{b}.*")).Join(abQuery(t, ".*!y{b}a.*")).WithPlan(keepTree),
+			"∪", nil},
+		{"union of two schemas under a join, schemaless",
+			sq(".*!x{ab}.*").Union(sq(".*!x{a}!y{b}.*")).Join(sq(".*(!y{b}|a)a.*")).WithPlan(keepTree),
+			"∪", nil},
 	}
 	docs := []string{"", "ab", "abab", "babab", "baabaab", "abbaabba", strings.Repeat("ab", 9)}
 	ctx := context.Background()
@@ -44,7 +87,10 @@ func TestOnePathOverEverySource(t *testing.T) {
 		}
 		pl := sh.q.plan()
 		tuples := 0
-		for _, doc := range docs {
+		if sh.docs == nil {
+			sh.docs = docs
+		}
+		for _, doc := range sh.docs {
 			want := sh.q.EvalNaive([]byte(doc))
 			tuples += want.Len()
 			for kind, src := range map[string]Source{
@@ -103,6 +149,61 @@ func TestOnePathOverEverySource(t *testing.T) {
 		}
 		if (tuples == 0) != (sh.name == "pruned-empty") {
 			t.Fatalf("%s: %d result tuples over all documents — the table does not exercise it", sh.name, tuples)
+		}
+	}
+}
+
+// TestDeadlineInsideAMaterializingJoin: a deadline that falls while a
+// materializing operator is still building its relation is observed there
+// — not once the relation exists — and no tuple is delivered. The join is
+// the unselected cross product of two 4,000-tuple scans: 16 M rows, well
+// over a second of work at the ~10 M rows/s the join emits, and never built.
+func TestDeadlineInsideAMaterializingJoin(t *testing.T) {
+	opts := Options{Alphabet: []byte("abcdefghijklmnopqrstuvwxyz")}
+	q := MustQ(MustCompile(".*!x{[a-z]}.*", opts)).Join(MustQ(MustCompile(".*!y{[a-z]}.*", opts))).
+		WithPlan(PlanOptions{DisableRewrites: true})
+	if q.Streaming() {
+		t.Fatalf("the join does not materialize:\n%s", q.Explain())
+	}
+	rng := rand.New(rand.NewSource(1))
+	doc := make([]byte, 4000)
+	for i := range doc {
+		doc[i] = byte('a' + rng.Intn(26))
+	}
+	const deadline = 20 * time.Millisecond
+	verbs := map[string]func(ctx context.Context) error{
+		"EnumerateSource": func(ctx context.Context) error {
+			return q.EnumerateSource(ctx, Text(doc), func(Tuple) bool {
+				t.Error("a tuple was delivered: the join was not stopped inside")
+				return false
+			})
+		},
+		"CountSource": func(ctx context.Context) error {
+			n, err := q.CountSource(ctx, Text(doc))
+			if n != 0 {
+				t.Errorf("a stopped operator has no partial relation, the count is %d", n)
+			}
+			return err
+		},
+	}
+	for name, verb := range verbs {
+		// The bound is on wall time: a stall of the host may cost one attempt.
+		var elapsed time.Duration
+		for attempt := 0; attempt < 3; attempt++ {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			start := time.Now()
+			err := verb(ctx)
+			elapsed = time.Since(start)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s under a %v deadline: err %v after %v", name, deadline, err, elapsed)
+			}
+			if elapsed < 10*deadline {
+				break
+			}
+		}
+		if elapsed >= 10*deadline {
+			t.Errorf("%s noticed its %v deadline only after %v", name, deadline, elapsed)
 		}
 	}
 }
