@@ -143,7 +143,7 @@ func BenchmarkE2CompressedEnumPreprocess(b *testing.B) {
 
 func BenchmarkE2CompressedEnumDelay(b *testing.B) {
 	d := automata.Determinize(compileBench(b, e1Pattern, "ab"))
-	for _, exp := range []int{12, 16, 20} {
+	for _, exp := range []int{12, 16, 20, 24} {
 		n := int64(1) << exp
 		root := slp.Repeat(slp.FromBytes([]byte("ab")), n/2)
 		ix := slpmatch.NewIndex(d)

@@ -11,12 +11,14 @@ import (
 // (at every boundary before a letter, at most one mask may fire), the
 // at-least-one-mask matrix E⁺ used to prune subtrees without result
 // events, and Eᵀ so that alive-vector pullback streams only the rows
-// that are set in the vector.
+// that are set in the vector. An inner node's data links to its
+// children's, so the enumeration walk reads no table.
 type nodeData struct {
 	pure []int32
 	em   *automata.BoolMatrix
 	ep   *automata.BoolMatrix
 	emT  *automata.BoolMatrix
+	l, r *nodeData
 }
 
 // Index enumerates a deterministic extended vset-automaton's spanner
@@ -135,7 +137,7 @@ func (ix *Index) combine(l, r *nodeData) *nodeData {
 			}
 		}
 	}
-	return &nodeData{pure: p, em: em, ep: ep, emT: em.Transpose()}
+	return &nodeData{pure: p, em: em, ep: ep, emT: em.Transpose(), l: l, r: r}
 }
 
 // DEVA returns the underlying deterministic automaton.
@@ -211,8 +213,7 @@ type event struct {
 func (ix *Index) Each(root *slp.Node, f func(spans.Tuple) bool) {
 	ix.Warm(root)
 	e := &cenum{ix: ix, root: root, emit: f}
-	events := make([]event, 0, 2*len(ix.c.DEVA.Index.Vars())+1)
-	e.dfs(ix.c.Start, 0, events, 0)
+	e.run(make([]event, 0, 2*len(ix.c.DEVA.Index.Vars())+1))
 }
 
 // Count returns the number of result tuples. It runs the walk in
@@ -235,7 +236,7 @@ func (ix *Index) CountTotal(root *slp.Node, vars spans.VarSet, poll func() bool)
 	}
 	ix.Warm(root)
 	e := &cenum{ix: ix, root: root, countOnly: true, need: need, poll: poll}
-	e.dfs(ix.c.Start, 0, nil, 0)
+	e.run(nil)
 	return e.count, !e.aborted
 }
 
@@ -246,39 +247,45 @@ func (ix *Index) All(root *slp.Node) *spans.Relation {
 	return out
 }
 
-// cenum is one enumeration pass; it owns a free list of alive-vector
-// scratch buffers so the walk allocates only on its deepest path. In
-// count-only mode (countOnly) the event list stays empty and the walk
-// carries only the accumulated mask — no tuples are built.
+// cenum is one enumeration pass: a single left-to-right walk of the
+// derivation tree that prunes every subtree without productive events
+// (E⁺) and descends into the rest, pulling the alive vector back over
+// each right sibling it passes. Every right sibling still pending on the
+// walk's path is a frame, so an event fired at a leaf continues from the
+// boundary after it through those frames and then finish — the walk
+// never re-descends from the root, and it visits nodes in the order a
+// root re-descent would. It owns a free list of alive-vector scratch
+// buffers so the walk allocates only on its deepest path. In count-only
+// mode (countOnly) the event list stays empty and the walk carries only
+// the accumulated mask — no tuples are built.
 type cenum struct {
 	ix      *Index
 	root    *slp.Node
 	emit    func(spans.Tuple) bool
 	aborted bool
 	free    [][]uint64
+	frames  []frame
 
 	countOnly bool
 	need      automata.Mask
 	count     int
 	poll      func() bool
 
-	// nd is a lock-free front cache over the index's node table: one walk
-	// re-reads the same nodes on every dfs descent, and a plain map
-	// lookup beats the sharded cache's lock and counters.
-	nd map[*slp.Node]*nodeData
+	// expanded counts the inner nodes the walk descended into, one
+	// alive-vector pullback each — the unit of the delay bound.
+	expanded int
 }
 
-// node is ix.node behind the walk-local front cache.
-func (e *cenum) node(n *slp.Node) *nodeData {
-	if d, ok := e.nd[n]; ok {
-		return d
-	}
-	d := e.ix.node(n)
-	if e.nd == nil {
-		e.nd = make(map[*slp.Node]*nodeData, 64)
-	}
-	e.nd[n] = d
-	return d
+// frame is a subtree the walk has yet to read: node, with its data nd,
+// starts at absolute offset off, av is the alive vector at its end, and
+// next indexes the frame that follows it in cenum.frames (−1: the end of
+// the document).
+type frame struct {
+	node *slp.Node
+	nd   *nodeData
+	av   []uint64
+	off  int64
+	next int
 }
 
 // counted records one tuple in count-only mode, honoring the poll hook.
@@ -303,23 +310,30 @@ func (e *cenum) getVec() []uint64 {
 
 func (e *cenum) putVec(v []uint64) { e.free = append(e.free, v) }
 
-// dfs enumerates all accepting runs from state q at absolute boundary
-// pos, with the given event prefix (or accumulated mask when counting);
-// no mask has fired at pos yet.
-func (e *cenum) dfs(q int, pos int64, events []event, acc automata.Mask) {
-	if e.aborted {
-		return
+// run enumerates all accepting runs from the start state: the whole
+// document is the one pending frame.
+func (e *cenum) run(events []event) {
+	next := -1
+	if e.root != nil {
+		e.frames = append(e.frames, frame{node: e.root, nd: e.ix.node(e.root), av: e.ix.finalAlive, next: -1})
+		next = 0
 	}
-	n := e.root.Len()
-	if pos == n {
-		e.finish(q, events, acc)
-		return
+	e.resume(e.ix.c.Start, next, events, 0)
+}
+
+// resume enumerates all accepting runs that are in state q, with no mask
+// fired yet, at the start of frame f: it walks f and the frames linked
+// after it, then finishes at the end of the document.
+func (e *cenum) resume(q, f int, events []event, acc automata.Mask) {
+	for f >= 0 {
+		fr := e.frames[f]
+		exit := e.walk(fr.node, fr.nd, q, fr.av, fr.off, fr.next, events, acc)
+		if e.aborted || exit < 0 {
+			return
+		}
+		q, f = int(exit), fr.next
 	}
-	exit := e.walk(e.root, q, pos, e.ix.finalAlive, 0, events, acc)
-	if e.aborted || exit < 0 {
-		return
-	}
-	e.finish(int(exit), events, acc)
+	e.finish(q, events, acc)
 }
 
 // finish handles the end-of-document boundary: emit the pure run and the
@@ -355,28 +369,26 @@ func (e *cenum) finish(q int, events []event, acc automata.Mask) {
 	}
 }
 
-// walk processes node a from local offset i entering state q; av is the
-// alive vector for the boundary after a. It fires every productive event
-// inside a (recursing into dfs for the continuation) and returns the
-// pure-letter exit state (−1 if the pure run dies).
-func (e *cenum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, events []event, acc automata.Mask) int32 {
+// walk reads node a, with data nd, at absolute offset off, from its
+// start in state q; av is the alive vector at its end and next the frame
+// after it. It fires every productive event inside a, continuing each
+// one through resume, and returns the pure-letter exit state (−1 if the
+// pure run dies).
+func (e *cenum) walk(a *slp.Node, nd *nodeData, q int, av []uint64, off int64, next int, events []event, acc automata.Mask) int32 {
 	if e.aborted {
 		return -1
 	}
-	ix := e.ix
 	if a.IsLeaf() {
-		b := a.LeafByte()
-		steps := ix.leaf[b].pure
-		for _, me := range ix.c.MaskEdges[q] {
+		steps := nd.pure
+		for _, me := range e.ix.c.MaskEdges[q] {
 			s := steps[me.To]
 			if s < 0 || !vecGet(av, int(s)) {
 				continue
 			}
 			if e.countOnly {
-				e.dfs(int(s), off+1, nil, acc|me.Mask)
+				e.resume(int(s), next, nil, acc|me.Mask)
 			} else {
-				ev := append(events, event{off, me.Mask})
-				e.dfs(int(s), off+1, ev, acc)
+				e.resume(int(s), next, append(events, event{off, me.Mask}), acc)
 			}
 			if e.aborted {
 				return -1
@@ -384,28 +396,26 @@ func (e *cenum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, events
 		}
 		return steps[q]
 	}
-	llen := a.Left().Len()
-	if i >= llen {
-		return e.walk(a.Right(), q, i-llen, av, off+llen, events, acc)
+	// Prune whole subtrees without productive events.
+	if !rowMeets(nd.ep, q, av) {
+		return nd.pure[q]
 	}
-	// Prune whole subtrees without productive events (only valid from
-	// offset 0, where E⁺ describes the whole node).
-	if i == 0 {
-		nd := e.node(a)
-		if !rowMeets(nd.ep, q, av) {
-			return nd.pure[q]
-		}
-	}
+	e.expanded++
 	// Pull the alive vector back over the right part: avL = E_R·av,
-	// computed as avᵀ·E_Rᵀ so only the set rows are streamed.
-	rd := e.node(a.Right())
-	avL := rd.emT.ApplyLeftInto(e.getVec(), av)
-	ls := e.walk(a.Left(), q, i, avL, off, events, acc)
+	// computed as avᵀ·E_Rᵀ so only the set rows are streamed. The right
+	// part becomes a frame for the events of the left one.
+	l, r := a.Left(), a.Right()
+	rOff := off + l.Len()
+	avL := nd.r.emT.ApplyLeftInto(e.getVec(), av)
+	e.frames = append(e.frames, frame{node: r, nd: nd.r, av: av, off: rOff, next: next})
+	top := len(e.frames) - 1
+	ls := e.walk(l, nd.l, q, avL, off, top, events, acc)
+	e.frames = e.frames[:top]
 	e.putVec(avL)
 	if e.aborted || ls < 0 {
 		return -1
 	}
-	return e.walk(a.Right(), int(ls), 0, av, off+llen, events, acc)
+	return e.walk(r, nd.r, int(ls), av, rOff, next, events, acc)
 }
 
 // rowMeets reports whether row q of m intersects vector v.

@@ -1,0 +1,362 @@
+package slpmatch
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"docspanner/internal/automata"
+	"docspanner/internal/regex"
+	"docspanner/internal/slp"
+	"docspanner/internal/spans"
+	"docspanner/internal/vset"
+)
+
+// walkTokens spells fuzz and random patterns one token per byte: up to
+// three variables over {a,b,c}.
+var walkTokens = []string{"a", "b", "c", ".", "(", ")", "|", "*", "+", "?", "!x{", "!y{", "!z{", "}"}
+
+// tokenPattern decodes pat into a pattern and compiles it, reporting
+// false for patterns that do not parse or whose automaton is too large
+// to be a useful test case.
+func tokenPattern(pat []byte) (string, *automata.NFA, *automata.DEVA, bool) {
+	var src strings.Builder
+	for _, b := range pat {
+		src.WriteString(walkTokens[int(b)%len(walkTokens)])
+	}
+	node, err := regex.Parse(src.String())
+	if err != nil {
+		return "", nil, nil, false
+	}
+	nfa, err := regex.Compile(node, regex.Options{Alphabet: []byte("abc")})
+	if err != nil || nfa.NumStates() > 256 {
+		return "", nil, nil, false
+	}
+	if _, ok := automata.DeterminizedStatesAtMost(nfa, 256); !ok {
+		return "", nil, nil, false
+	}
+	return src.String(), nfa, automata.Determinize(nfa), true
+}
+
+// collect returns the tuples an enumeration emits, in order.
+func collect(each func(func(spans.Tuple) bool)) []spans.Tuple {
+	var out []spans.Tuple
+	each(func(t spans.Tuple) bool { out = append(out, t); return true })
+	return out
+}
+
+// sameSequence reports the first position where two tuple sequences
+// differ, or −1.
+func sameSequence(a, b []spans.Tuple) int {
+	for i := range a {
+		if i >= len(b) || !a[i].Equal(b[i]) {
+			return i
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
+}
+
+// checkAgainstReference asserts that the walk and the reference walk
+// agree on ix and root: the same tuple sequence from Each, the same
+// prefix under early stop, the same counts from CountTotal with and
+// without required variables, and the same partial count under a poll
+// abort. It returns the full sequence.
+func checkAgainstReference(t *testing.T, name string, ix *Index, root *slp.Node) []spans.Tuple {
+	t.Helper()
+	got := collect(func(f func(spans.Tuple) bool) { ix.Each(root, f) })
+	want := collect(func(f func(spans.Tuple) bool) { refEach(ix, root, f) })
+	if i := sameSequence(got, want); i >= 0 {
+		t.Fatalf("%s: Each diverges from the reference at tuple %d (%d vs %d tuples)", name, i, len(got), len(want))
+	}
+	for _, stop := range []int{1, 2, len(want) / 2} {
+		if stop == 0 || stop >= len(want) {
+			continue
+		}
+		var prefix []spans.Tuple
+		ix.Each(root, func(tp spans.Tuple) bool {
+			prefix = append(prefix, tp)
+			return len(prefix) < stop
+		})
+		if i := sameSequence(prefix, want[:stop]); i >= 0 {
+			t.Fatalf("%s: early stop after %d diverges at tuple %d", name, stop, i)
+		}
+	}
+	vars := ix.c.DEVA.Index.Vars()
+	for _, vs := range []spans.VarSet{nil, vars} {
+		n, complete := ix.CountTotal(root, vs, nil)
+		rn, rcomplete := refCountTotal(ix, root, vs, nil)
+		if n != rn || !complete || !rcomplete {
+			t.Fatalf("%s: CountTotal(%v) = (%d, %v), reference (%d, %v)", name, vs, n, complete, rn, rcomplete)
+		}
+		if vs == nil && n != len(want) {
+			t.Fatalf("%s: CountTotal = %d, Each emitted %d", name, n, len(want))
+		}
+		for _, budget := range []int{1, n / 2} {
+			if budget == 0 || budget >= n {
+				continue
+			}
+			poll := func(left int) func() bool {
+				return func() bool { left--; return left > 0 }
+			}
+			pn, pc := ix.CountTotal(root, vs, poll(budget))
+			rpn, rpc := refCountTotal(ix, root, vs, poll(budget))
+			if pn != rpn || pc || rpc {
+				t.Fatalf("%s: CountTotal(%v) aborted after %d polls = (%d, %v), reference (%d, %v)", name, vs, budget, pn, pc, rpn, rpc)
+			}
+		}
+	}
+	return got
+}
+
+// TestWalkMatchesReference pins the frame-resuming walk to the
+// root-re-descending reference on random automata over random, repeated,
+// CDE-edited and empty documents, and on the log patterns over a
+// CDE-concatenated log.
+func TestWalkMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ixs []*Index
+	var srcs []string
+	for len(ixs) < 24 {
+		pat := make([]byte, 3+rng.Intn(14))
+		for i := range pat {
+			pat[i] = byte(rng.Intn(len(walkTokens)))
+		}
+		src, _, d, ok := tokenPattern(pat)
+		if !ok || len(d.Index.Vars()) == 0 {
+			continue
+		}
+		ixs = append(ixs, NewIndex(d))
+		srcs = append(srcs, src)
+	}
+	randomText := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abc"[rng.Intn(3)]
+		}
+		return b
+	}
+	for k, ix := range ixs {
+		db := slp.NewDB()
+		base := slp.Balance(slp.Compress(randomText(8 + rng.Intn(40))))
+		db.Add("D", base)
+		n := base.Len()
+		i := 1 + rng.Int63n(n)
+		j := i + rng.Int63n(n-i+1)
+		docs := map[string]*slp.Node{
+			"empty":    nil,
+			"repeat":   slp.Repeat(slp.FromBytes(randomText(1+rng.Intn(4))), 1+rng.Int63n(40)),
+			"balanced": base,
+		}
+		for _, expr := range []string{
+			fmt.Sprintf("copy(D,%d,%d,%d)", i, j, 1+rng.Int63n(n+1)),
+			fmt.Sprintf("delete(D,%d,%d)", i, j),
+			fmt.Sprintf("insert(D,extract(D,%d,%d),%d)", i, j, 1+rng.Int63n(n+1)),
+			"concat(D,D)",
+		} {
+			e, err := slp.ParseCDE(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if docs[expr], err = db.Eval(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, root := range docs {
+			checkAgainstReference(t, fmt.Sprintf("%q on %s", srcs[k], name), ix, root)
+		}
+	}
+
+	root := compressedLog(rand.New(rand.NewSource(5)), 4, 2<<10, 8)
+	for _, q := range logQueries {
+		got := checkAgainstReference(t, q.name+" on the concatenated log", logIndex(t, q.src), root)
+		if len(got) == 0 {
+			t.Fatalf("%s: no tuples on the concatenated log", q.name)
+		}
+	}
+}
+
+// TestWalkDelayShape counts the inner nodes the walk expands — one
+// alive-vector pullback each — for .*!x{ab}.* on (ab)^{n/2}. Resuming
+// through frames makes the expansions per tuple independent of the
+// document length, and the gap between two outputs stays O(ord(root)),
+// the survey's O(log |D|) delay. The reference walk re-descends from the
+// root for every event, so its expansions per tuple grow with ord.
+func TestWalkDelayShape(t *testing.T) {
+	ix := NewIndex(spannerDEVA(t, ".*!x{ab}.*"))
+	var perTuple []float64
+	for lg := 12; lg <= 20; lg += 2 {
+		n := int64(1) << lg
+		root := slp.Repeat(slp.FromBytes([]byte("ab")), n/2)
+		ix.Warm(root)
+		ord := int(root.Order())
+
+		// Count-only mode walks the same nodes; poll marks each tuple.
+		e := &cenum{ix: ix, root: root, countOnly: true}
+		tuples, last, maxGap := 0, 0, 0
+		e.poll = func() bool {
+			maxGap = max(maxGap, e.expanded-last)
+			last = e.expanded
+			tuples++
+			return true
+		}
+		e.run(nil)
+		maxGap = max(maxGap, e.expanded-last)
+		if int64(tuples) != n/2 {
+			t.Fatalf("n=2^%d: %d tuples, want %d", lg, tuples, n/2)
+		}
+		if maxGap > 4*ord {
+			t.Errorf("n=2^%d: %d expansions between two outputs, want ≤ 4·ord = %d", lg, maxGap, 4*ord)
+		}
+		per := float64(e.expanded) / float64(tuples)
+		perTuple = append(perTuple, per)
+
+		t.Logf("n=2^%d ord=%d: %.2f expansions per tuple, max gap %d", lg, ord, per, maxGap)
+		if lg <= 16 { // the reference expands about ord nodes per tuple
+			ref := &refEnum{cenum{ix: ix, root: root, countOnly: true}}
+			ref.dfs(ix.c.Start, 0, nil, 0)
+			t.Logf("n=2^%d: reference walk %.2f expansions per tuple", lg, float64(ref.expanded)/float64(tuples))
+		}
+	}
+	if first, lastPer := perTuple[0], perTuple[len(perTuple)-1]; lastPer > 1.1*first {
+		t.Errorf("expansions per tuple grow with the document: %.2f at 2^12, %.2f at 2^20", first, lastPer)
+	}
+}
+
+// FuzzCompressedEnumVsNaive decodes a pattern over {a,b,c} (one token per
+// byte) and a document (d is outside the alphabet), compresses the
+// document, and derives one CDE edit of it from the last argument. On
+// both versions Each must emit the reference walk's sequence, which must
+// be the naive evaluator's relation, and CountTotal must count it.
+func FuzzCompressedEnumVsNaive(f *testing.F) {
+	f.Add([]byte{3, 7, 10, 0, 1, 13, 3, 7}, []byte("abab"), uint8(0))                      // .*!x{ab}.*
+	f.Add([]byte{10, 0, 8, 13, 4, 11, 1, 8, 13, 5, 9, 3, 7}, []byte{0, 0, 1, 1}, uint8(5)) // !x{a+}(!y{b+})?.*
+	f.Add([]byte{10, 4, 5, 13, 3, 7}, []byte{}, uint8(2))                                  // !x{()}.*
+	f.Add([]byte{3, 7, 12, 2, 13, 3, 7}, []byte{2, 3, 2, 0, 2}, uint8(9))                  // .*!z{c}.* on "cdcac"
+	f.Fuzz(func(t *testing.T, pat, text []byte, edit uint8) {
+		if len(pat) > 24 || len(text) > 16 {
+			return
+		}
+		src, nfa, d, ok := tokenPattern(pat)
+		if !ok {
+			return
+		}
+		doc := make([]byte, len(text))
+		for i, b := range text {
+			doc[i] = "abcd"[b%4]
+		}
+		db := slp.NewDB()
+		root := slp.Balance(slp.Compress(doc))
+		db.Add("D", root)
+		roots := []*slp.Node{root}
+		if n := int64(len(doc)); n > 0 {
+			i := 1 + int64(edit)%n
+			j := i + int64(edit/4)%(n-i+1)
+			expr := []string{
+				fmt.Sprintf("copy(D,%d,%d,%d)", i, j, 1+int64(edit/16)%(n+1)),
+				fmt.Sprintf("delete(D,%d,%d)", i, j),
+				fmt.Sprintf("insert(D,D,%d)", i),
+				"concat(D,D)",
+			}[edit%4]
+			e, err := slp.ParseCDE(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited, err := db.Eval(e)
+			if err != nil {
+				t.Fatalf("%s: %v", expr, err)
+			}
+			roots = append(roots, edited)
+		}
+		ix := NewIndex(d)
+		for _, r := range roots {
+			text := r.Bytes()
+			name := fmt.Sprintf("%q on %q", src, text)
+			got := checkAgainstReference(t, name, ix, r)
+			if want := vset.Eval(nfa, text, vset.Schemaless); !spans.NewRelation(got...).Equal(want) || len(got) != want.Len() {
+				t.Fatalf("%s:\ncompressed %v\n     naive %v", name, got, want)
+			}
+		}
+	})
+}
+
+// The log patterns of the server benchmark: one rec tuple per line, one
+// denied tuple per msg=denied line, one tok tuple per msg=timeout line.
+const (
+	logAlphabet   = "abcdefghijklmnopqrstuvwxyz0123456789 :=[]>-.\n"
+	logLinePrefix = `(.*\n)?\[[0-9][0-9]:[0-9][0-9]\] `
+	logLineSuffix = `\n(.*\n?)?`
+)
+
+var logQueries = []struct{ name, src string }{
+	{"rec", logLinePrefix + `!svc{[a-z]+} req=!req{r[0-9]}[ ]msg=!msg{[a-z ]+}` + logLineSuffix},
+	{"denied", logLinePrefix + `!svc{[a-z]+} req=!req{r[0-9]}[ ]msg=denied` + logLineSuffix},
+	{"tok", `.*!x{timeout}.*`},
+}
+
+func logIndex(tb testing.TB, src string) *Index {
+	tb.Helper()
+	node, err := regex.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nfa, err := regex.Compile(node, regex.Options{Alphabet: []byte(logAlphabet)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewIndex(automata.Determinize(nfa))
+}
+
+// compressedLog Re-Pair-compresses bases service logs of about
+// baseBytes each and returns a balanced CDE concatenation of picks
+// random ones of them.
+func compressedLog(rng *rand.Rand, bases, baseBytes, picks int) *slp.Node {
+	services := []string{"auth", "billing", "gateway", "search"}
+	messages := []string{"timeout", "retry", "ok", "cache miss", "denied"}
+	db := slp.NewDB()
+	for b := 0; b < bases; b++ {
+		var sb strings.Builder
+		for sb.Len() < baseBytes {
+			fmt.Fprintf(&sb, "[%02d:%02d] %s req=r%d msg=%s\n", rng.Intn(24), rng.Intn(60),
+				services[rng.Intn(len(services))], rng.Intn(8), messages[rng.Intn(len(messages))])
+		}
+		db.Add(fmt.Sprintf("b%d", b), slp.Balance(slp.Compress([]byte(sb.String()))))
+	}
+	var concat func(k int) string
+	concat = func(k int) string {
+		if k == 1 {
+			return fmt.Sprintf("b%d", rng.Intn(bases))
+		}
+		return "concat(" + concat(k/2) + ", " + concat(k-k/2) + ")"
+	}
+	e, err := slp.ParseCDE(concat(picks))
+	if err != nil {
+		panic(err)
+	}
+	root, err := db.Eval(e)
+	if err != nil {
+		panic(err)
+	}
+	return root
+}
+
+// BenchmarkCompressedLogEnumerate enumerates the server benchmark's log
+// patterns over a 256 KiB CDE concatenation of 16 KiB Re-Pair-compressed
+// logs on a warm index, reporting ns per tuple.
+func BenchmarkCompressedLogEnumerate(b *testing.B) {
+	root := compressedLog(rand.New(rand.NewSource(1)), 8, 16<<10, 16)
+	for _, q := range logQueries {
+		ix := logIndex(b, q.src)
+		ix.Warm(root)
+		b.Run(q.name, func(b *testing.B) {
+			tuples := 0
+			for i := 0; i < b.N; i++ {
+				ix.Each(root, func(spans.Tuple) bool { tuples++; return true })
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(tuples, 1)), "ns/tuple")
+		})
+	}
+}

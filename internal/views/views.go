@@ -6,13 +6,17 @@
 // only the O(log d) fresh spine of the edited SLP (Index.WarmDelta); the
 // rest of the grammar is reused through the index's per-node tables, so
 // live views cost per edit what the survey's Section 4.3 promises, not a
-// re-evaluation.
+// re-evaluation. The count is the length of the materialization; only a
+// result past the materialization cap is counted by the index's
+// big-integer counter (Index.ExactCount) instead.
 //
-// A Set is safe for concurrent use; refreshes of one view serialize on
-// the view while reads see consistent immutable snapshots. Versions are
-// monotonic: a refresh carrying a version at or below the current one is
-// skipped, so racing refresh requests (e.g. a coalescing background
-// refresher) cannot tear or rewind a view.
+// A Set is safe for concurrent use. Refreshes of one view serialize on a
+// mutex of their own and compute outside the lock that guards the
+// published result, so reads see consistent immutable snapshots without
+// waiting for a refresh in flight. Versions are monotonic: a refresh
+// carrying a version at or below the current one is skipped, so racing
+// refresh requests (e.g. a coalescing background refresher) cannot tear
+// or rewind a view.
 package views
 
 import (
@@ -25,8 +29,10 @@ import (
 )
 
 // DefaultMaxMaterialize caps the tuples materialized per view version.
-// Counts are exact regardless (big-integer matrix counting); only the
-// tuple list and /changes diffs are withheld above the cap.
+// Counts are exact regardless: up to the cap a count is the length of
+// the materialization, past it the index's big-integer matrix counter
+// supplies it; only the tuple list and /changes diffs are withheld above
+// the cap.
 const DefaultMaxMaterialize = 65536
 
 // DefaultHistory is how many past materialized versions a view keeps for
@@ -70,7 +76,7 @@ type Result struct {
 	Tuples       []docspanner.Tuple
 	Materialized bool
 	// Refreshed is when this version was computed; Elapsed how long the
-	// refresh took (delta warm + count + materialization).
+	// refresh took (delta warm + materialization, + count past the cap).
 	Refreshed time.Time
 	Elapsed   time.Duration
 	// Stats is the WarmDelta work of this refresh: Recomputed is the
@@ -103,10 +109,15 @@ type View struct {
 	ix  *docspanner.Index
 	cfg Config
 
-	mu      sync.Mutex
-	prevDoc *docspanner.Document // snapshot behind cur, for WarmDelta
-	cur     *Result
-	hist    []*Result // oldest first, at most cfg.History entries
+	// refreshMu serializes refreshes; prevDoc belongs to it.
+	refreshMu sync.Mutex
+	prevDoc   *docspanner.Document // snapshot behind cur, for WarmDelta
+
+	// mu guards the published state below; a refresh takes it only to
+	// publish.
+	mu   sync.Mutex
+	cur  *Result
+	hist []*Result // oldest first, at most cfg.History entries
 
 	refreshes  int
 	skipped    int
@@ -138,44 +149,66 @@ func (v *View) Current() *Result {
 // (returning the current result and false) when version is not newer
 // than the view's — refreshes are version-monotonic, so stale or
 // duplicate requests from a coalescing refresher are harmless. The
-// returned Result is immutable.
+// returned Result is immutable. Readers of the view do not wait for the
+// computation, only for its publication.
 func (v *View) Refresh(d *docspanner.Document, version int) (*Result, bool) {
+	v.refreshMu.Lock()
+	defer v.refreshMu.Unlock()
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.cur != nil && version <= v.cur.Version {
+	if cur := v.cur; cur != nil && version <= cur.Version {
 		v.skipped++
-		return v.cur, false
+		v.mu.Unlock()
+		return cur, false
 	}
+	v.mu.Unlock()
+
 	start := time.Now()
 	st := v.ix.WarmDelta(v.prevDoc, d)
-	count := v.ix.ExactCount(d)
 	res := &Result{
 		Version:     version,
-		Count:       count,
 		Refreshed:   start,
 		Stats:       st,
 		GrammarSize: d.GrammarSize(),
 	}
-	if count.IsInt64() && count.Int64() <= int64(v.cfg.MaxMaterialize) {
-		tuples := v.ix.Eval(d).Sorted()
-		res.Tuples = tuples
-		res.Materialized = true
+	// A scan never repeats a tuple, so the enumeration is the relation:
+	// collect it, stopping at the first tuple past the cap.
+	var tuples []docspanner.Tuple
+	over := false
+	v.ix.Enumerate(d, func(t docspanner.Tuple) bool {
+		if over = len(tuples) == v.cfg.MaxMaterialize; !over {
+			tuples = append(tuples, t)
+		}
+		return !over
+	})
+	if over {
+		res.Count = v.ix.ExactCount(d)
+	} else {
+		docspanner.SortTuples(tuples)
+		res.Count = big.NewInt(int64(len(tuples)))
+		res.Tuples, res.Materialized = tuples, true
 	}
 	res.Elapsed = time.Since(start)
+	testHookRefreshComputed()
 
+	v.prevDoc = d
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.cur != nil {
 		v.hist = append(v.hist, v.cur)
 		if len(v.hist) > v.cfg.History {
 			v.hist = v.hist[len(v.hist)-v.cfg.History:]
 		}
 	}
-	v.prevDoc = d
 	v.cur = res
 	v.refreshes++
 	v.recomputed += uint64(st.Recomputed)
 	v.reused += uint64(st.Reused)
 	return res, true
 }
+
+// testHookRefreshComputed runs between a refresh's computation and its
+// publication; tests replace it to hold a refresh in flight.
+var testHookRefreshComputed = func() {}
 
 // at returns the result for an exact version: the current one or a
 // history entry.

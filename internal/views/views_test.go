@@ -165,6 +165,119 @@ func TestViewMaterializationCap(t *testing.T) {
 	if _, _, _, _, ok := v.Changes(1); ok {
 		t.Fatal("Changes over an unmaterialized endpoint succeeded")
 	}
+
+	// Past the cap on an edited document the count still comes from the
+	// index's exact counter, maintained across the edit.
+	db := docspanner.NewDocDB()
+	db.Add("d", docspanner.CompressDocument([]byte("abab")))
+	d1, _ := db.Get("d")
+	if res, _ := v.Refresh(d1, 2); res.Count.Int64() != 2 || !res.Materialized {
+		t.Fatalf("at the cap: count = %v, materialized = %v", res.Count, res.Materialized)
+	}
+	d2, err := db.Edit("d", "insert(d, d, 3)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ = v.Refresh(d2, 3)
+	if res.Materialized || res.Tuples != nil {
+		t.Fatalf("edited result over the cap materialized: %+v", res)
+	}
+	if want := testIndex(t, ".*!x{a}.*").ExactCount(d2); res.Count.Cmp(want) != 0 || want.Int64() != 4 {
+		t.Fatalf("count after the edit = %v, ExactCount = %v, want 4", res.Count, want)
+	}
+}
+
+// TestViewRefreshAllocsFollowTuplesAndSpine pins what a refresh after a
+// CDE edit allocates: the materialized tuples and the index data of the
+// edit's fresh spine (measured on a second index), not a big-integer
+// count matrix per spine node.
+func TestViewRefreshAllocsFollowTuplesAndSpine(t *testing.T) {
+	set := NewSet(Config{})
+	v, _, _ := set.Register("d", "q", testIndex(t, ".*!x{ab}.*"), nil)
+	db := docspanner.NewDocDB()
+	text := make([]byte, 1<<14)
+	for i := range text {
+		text[i] = "ab"[i/512%2]
+	}
+	db.Add("d", docspanner.CompressDocument(text))
+	d, _ := db.Get("d")
+	v.Refresh(d, 1)
+	spineIx := testIndex(t, ".*!x{ab}.*")
+	spineIx.Warm(d)
+	var docs []*docspanner.Document
+	var spines []int
+	for i := 0; i < 8; i++ {
+		next, err := db.Edit("d", fmt.Sprintf("copy(d, %d, %d, %d)", 100*i+1, 100*i+7, 1000*i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spines = append(spines, spineIx.WarmDelta(d, next).Recomputed)
+		docs = append(docs, next)
+		d = next
+	}
+	// AllocsPerRun refreshes twice (a warm-up, then the measured run),
+	// each time to the next edited version.
+	version := 1
+	worst := 0.0
+	for i := 0; i < len(docs)/2; i++ {
+		var res *Result
+		allocs := testing.AllocsPerRun(1, func() {
+			version++
+			res, _ = v.Refresh(docs[version-2], version)
+		})
+		work := float64(res.Count.Int64()) + float64(spines[version-2])
+		worst = max(worst, allocs/work)
+		if allocs > 12*work {
+			t.Errorf("edit %d: %.0f allocations for %v tuples and a %d-node spine, want ≤ 12 per tuple or node",
+				i, allocs, res.Count, spines[version-2])
+		}
+	}
+	t.Logf("worst: %.2f allocations per tuple or spine node", worst)
+}
+
+// TestViewReadsDoNotWaitForRefresh holds a refresh between its
+// computation and its publication: every read of the view must complete
+// meanwhile and see the previous version, and the refresh must then
+// publish.
+func TestViewReadsDoNotWaitForRefresh(t *testing.T) {
+	set := NewSet(Config{})
+	v, _, _ := set.Register("d", "q", testIndex(t, ".*!x{ab}.*"), nil)
+	db := docspanner.NewDocDB()
+	db.Add("d", docspanner.CompressDocument([]byte("abab")))
+	d1, _ := db.Get("d")
+	v.Refresh(d1, 1)
+	d2, err := db.Edit("d", "concat(d, d)")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	testHookRefreshComputed = func() { close(inFlight); <-release }
+	defer func() { testHookRefreshComputed = func() {} }()
+	done := make(chan *Result)
+	go func() {
+		res, _ := v.Refresh(d2, 2)
+		done <- res
+	}()
+	<-inFlight
+
+	if res := v.Current(); res == nil || res.Version != 1 {
+		t.Fatalf("Current during a refresh = %+v, want version 1", res)
+	}
+	if from, to, added, removed, ok := v.Changes(1); !ok || from.Version != 1 || to.Version != 1 || len(added)+len(removed) != 0 {
+		t.Fatalf("Changes during a refresh: ok=%v added=%v removed=%v", ok, added, removed)
+	}
+	if refreshes, _, _, _ := v.Totals(); refreshes != 1 {
+		t.Fatalf("refreshes during a refresh = %d, want 1", refreshes)
+	}
+
+	close(release)
+	if res := <-done; res.Version != 2 || res.Count.Int64() != 4 {
+		t.Fatalf("held refresh published %+v, want version 2 with 4 tuples", res)
+	}
+	if res := v.Current(); res.Version != 2 {
+		t.Fatalf("Current after the refresh = version %d, want 2", res.Version)
+	}
 }
 
 func TestSetDropScopes(t *testing.T) {
