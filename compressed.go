@@ -287,18 +287,55 @@ func (q *Query) Index() (*Index, error) {
 }
 
 // Flush empties, in place, the per-node tables the query has built over
-// compressed documents — the index's and its exact counter's — releasing
-// the data of every document seen so far; it builds nothing. Safe while
-// other goroutines evaluate, warm or count on the same query: they
-// recompute what they miss, and everything that holds the query's Index
-// keeps sharing one table set afterwards.
+// compressed documents — those of every scan's index and of the exact
+// counter — releasing the data of every document seen so far; it builds
+// nothing. Safe while other goroutines evaluate, warm or count on the
+// same query: they recompute what they miss, and everything that holds
+// the query's Index keeps sharing one table set afterwards.
 func (q *Query) Flush() {
 	q.plan().Flush()
-	if ix := q.index.Load(); ix != nil {
-		if ct := ix.counter.Load(); ct != nil {
-			ct.Flush()
-		}
+	if ct := q.counter(); ct != nil {
+		ct.Flush()
 	}
+}
+
+// Retain forgets, in the same tables, the data of every grammar node
+// that no document of live reaches — the versions a document database
+// has superseded or deleted — and returns how many nodes it forgot. A
+// table is swept only once it has grown past its budget since its last
+// sweep, so calling Retain after every mutation is cheap. live must
+// list every document the query is still meant to serve warm; a live
+// node left out is merely recomputed on its next use. Safe while other
+// goroutines evaluate, warm or count on the same query, like Flush.
+func (q *Query) Retain(live []*Document) int {
+	roots := make([]*slp.Node, len(live))
+	for i, d := range live {
+		roots[i] = d.root
+	}
+	n := q.plan().Retain(roots)
+	if ct := q.counter(); ct != nil {
+		n += ct.Retain(roots)
+	}
+	return n
+}
+
+// CachedNodes reports the grammar nodes with data in the query's
+// per-node tables: every scan's index plus the exact counter.
+func (q *Query) CachedNodes() int {
+	n := q.plan().CachedNodes()
+	if ct := q.counter(); ct != nil {
+		n += ct.CachedNodes()
+	}
+	return n
+}
+
+// counter returns the exact counter of the query's Index, nil until
+// ExactCount built one.
+func (q *Query) counter() *slpmatch.Counter {
+	if ix := q.index.Load(); ix != nil {
+		return ix.counter.Load()
+	}
+	return nil
 }
 
 // WriteTo serializes the database (the shared SLP DAG plus document

@@ -132,7 +132,7 @@ type scanPhys struct {
 	devaOnce sync.Once
 	deva     *automata.DEVA
 	ixOnce   sync.Once
-	ix       atomic.Pointer[slpmatch.Index] // stored under ixOnce; Flush peeks without building
+	ix       atomic.Pointer[slpmatch.Index] // stored under ixOnce; Flush and Retain peek without building
 }
 
 func (s *scanPhys) dEVA() *automata.DEVA {
@@ -513,12 +513,41 @@ func (pl *Planned) Index() (*slpmatch.Index, bool) {
 	return s.index(), true
 }
 
-// Flush empties in place the tables of the plan's index, if evaluation
-// has built one; it never builds one.
-func (pl *Planned) Flush() {
-	if s, ok := pl.root.(*scanPhys); ok {
-		if ix := s.ix.Load(); ix != nil {
-			ix.Flush()
+// builtIndexes calls f on the compressed-evaluation index of every scan
+// of the plan, at the root or under materializing operators, that
+// evaluation has built; it builds none.
+func (pl *Planned) builtIndexes(f func(*slpmatch.Index)) {
+	var walk func(n physNode)
+	walk = func(n physNode) {
+		if s, ok := n.(*scanPhys); ok {
+			if ix := s.ix.Load(); ix != nil {
+				f(ix)
+			}
+		}
+		for _, c := range n.children() {
+			walk(c)
 		}
 	}
+	walk(pl.root)
+}
+
+// Flush empties in place the tables of every index the plan's scans
+// have built; it never builds one.
+func (pl *Planned) Flush() { pl.builtIndexes((*slpmatch.Index).Flush) }
+
+// Retain sweeps every index the plan's scans have built, forgetting the
+// nodes no root of live reaches (see slpmatch.Index.Retain), and returns
+// how many nodes they forgot.
+func (pl *Planned) Retain(live []*slp.Node) int {
+	n := 0
+	pl.builtIndexes(func(ix *slpmatch.Index) { n += ix.Retain(live) })
+	return n
+}
+
+// CachedNodes reports the inner SLP nodes cached over every index the
+// plan's scans have built.
+func (pl *Planned) CachedNodes() int {
+	n := 0
+	pl.builtIndexes(func(ix *slpmatch.Index) { n += ix.CachedNodes() })
+	return n
 }

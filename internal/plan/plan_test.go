@@ -186,6 +186,42 @@ func TestPlanOwnsItsIndex(t *testing.T) {
 	}
 }
 
+// TestFlushAndRetainReachEveryScan: the index of a scan under a
+// materializing operator is flushed and swept like a root scan's.
+func TestFlushAndRetainReachEveryScan(t *testing.T) {
+	sel := algebra.SelectEq{Sub: prim(t, ".*!x{ab}b!y{ab}.*"), Z: spans.NewVarSet("x", "y")}
+	pl := New(sel, Options{})
+	if _, ok := pl.Index(); ok {
+		t.Fatalf("selection plan collapsed to a single scan:\n%s", pl.Explain())
+	}
+	text := []byte(strings.Repeat("abbab", 1<<9))
+	root := slp.FromBytes(text)
+	want := pl.Eval(Text(text))
+	eval := func() {
+		t.Helper()
+		if got := pl.Eval(SLP(root, nil)); !got.Equal(want) {
+			t.Fatalf("SLP evaluation: got %d tuples, want %d", got.Len(), want.Len())
+		}
+	}
+	eval()
+	inner := root.Size() - 2 // the two leaves a and b are in no table
+	if n := pl.CachedNodes(); n != inner {
+		t.Fatalf("CachedNodes after SLP evaluation = %d, want %d", n, inner)
+	}
+	pl.Flush()
+	if n := pl.CachedNodes(); n != 0 {
+		t.Errorf("CachedNodes after Flush = %d, want 0", n)
+	}
+	eval()
+	if n := pl.Retain(nil); n != inner || pl.CachedNodes() != 0 {
+		t.Errorf("Retain of nothing forgot %d nodes, leaving %d", n, pl.CachedNodes())
+	}
+	eval()
+	if n := pl.Retain([]*slp.Node{root}); n != 0 || pl.CachedNodes() != inner {
+		t.Errorf("Retain of the live document forgot %d nodes, leaving %d of %d", n, pl.CachedNodes(), inner)
+	}
+}
+
 func TestCountAndEnumerate(t *testing.T) {
 	e := algebra.Union{L: prim(t, "!x{a}"), R: prim(t, "!x{b}")}
 	pl := New(e, Options{})

@@ -34,7 +34,7 @@ func (s *Server) handleDocPut(w http.ResponseWriter, r *http.Request) error {
 	// A non-nil snapshot means the mutation is visible (even when only
 	// its durability barrier failed): views must refresh regardless.
 	if sd != nil {
-		s.notifyDocChanged(name)
+		s.notifyDocChanged(sd)
 	}
 	if err != nil {
 		return err
@@ -66,6 +66,7 @@ func (s *Server) handleDocDelete(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	dropped := s.views.DropDoc(name)
+	s.forgetSuperseded()
 	if err != nil {
 		return err
 	}
@@ -77,7 +78,7 @@ func (s *Server) handleDocCompress(w http.ResponseWriter, r *http.Request) error
 	name := r.PathValue("name")
 	sd, err := s.store.compress(name)
 	if sd != nil {
-		s.notifyDocChanged(name)
+		s.notifyDocChanged(sd)
 	}
 	if err != nil {
 		return err
@@ -102,7 +103,7 @@ func (s *Server) handleDocEdit(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	sd, err := s.store.edit(name, body.Expr)
 	if sd != nil {
-		s.notifyDocChanged(name)
+		s.notifyDocChanged(sd)
 	}
 	if err != nil {
 		return err

@@ -2,7 +2,10 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -102,4 +105,78 @@ func TestDeletedQueriesAreCollected(t *testing.T) {
 		t.Errorf("live heap grew by %d bytes over %d register/evaluate/delete cycles (%d per cycle, want < %d)",
 			grown, cycles, grown/cycles, perCycleMax)
 	}
+}
+
+// metricValue reads one unlabelled sample from /metrics.
+func metricValue(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	mustStatus(t, rec.Code, 200, "metrics")
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", name)
+	return 0
+}
+
+// TestReplacedDocumentsAreForgotten replaces one compressed document 64
+// times with fresh text, warming a query on every version, beside a
+// document that stays: the query's tables hold the live grammar within
+// the sweep budget throughout, and deleting the replaced document
+// leaves only the other document's share, which stays warm.
+func TestReplacedDocumentsAreForgotten(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(1))
+	text := func() string {
+		b := make([]byte, 8<<10)
+		for i := range b {
+			b[i] = "ab"[rng.Intn(2)]
+		}
+		return string(b)
+	}
+	code, _ := do(t, s, "PUT", "/queries/q", `{"src": ".*!x{ab}.*", "alphabet": "ab"}`)
+	mustStatus(t, code, 200, "register")
+	put := func(name string) float64 {
+		t.Helper()
+		code, body := do(t, s, "PUT", "/docs/"+name+"?compress=1", text())
+		mustStatus(t, code, 200, "put "+name)
+		code, _ = do(t, s, "POST", "/docs/"+name+"/warm?query=q", "")
+		mustStatus(t, code, 200, "warm "+name)
+		return body["grammar_size"].(float64)
+	}
+	keep := put("keep")
+	forgotten0 := metricValue(t, s, "spannerd_index_forgotten_nodes_total")
+
+	var peak float64
+	for i := 0; i < 64; i++ {
+		live := keep + put("doc")
+		nodes := metricValue(t, s, "spannerd_index_nodes")
+		if bound := 1.25*live + slpmatch.RetainFloor; nodes > bound {
+			t.Fatalf("after version %d: spannerd_index_nodes = %v, want ≤ 1.25 × %v live + %d", i+1, nodes, live, slpmatch.RetainFloor)
+		}
+		peak = max(peak, nodes)
+	}
+	if forgotten := metricValue(t, s, "spannerd_index_forgotten_nodes_total") - forgotten0; forgotten < 32*keep {
+		t.Errorf("sweeps forgot %v nodes over 64 versions of a %v-node document", forgotten, keep)
+	}
+
+	code, _ = do(t, s, "DELETE", "/docs/doc", "")
+	mustStatus(t, code, 200, "delete")
+	if nodes := metricValue(t, s, "spannerd_index_nodes"); nodes > keep || nodes == 0 {
+		t.Errorf("after the DELETE: spannerd_index_nodes = %v, want the remaining document's share (≤ %v, > 0)", nodes, keep)
+	}
+	_, m0 := slpmatch.CacheStats()
+	code, _ = do(t, s, "GET", "/count?query=q&doc=keep", "")
+	mustStatus(t, code, 200, "count")
+	if _, m1 := slpmatch.CacheStats(); m1 != m0 {
+		t.Errorf("the remaining document missed %d nodes: its data was forgotten", m1-m0)
+	}
+	t.Logf("document grammar ≈ %v nodes; peak spannerd_index_nodes %v", keep, peak)
 }

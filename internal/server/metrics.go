@@ -158,7 +158,7 @@ func (m *metrics) get(table map[string]*atomic.Uint64, key string) uint64 {
 }
 
 // writeProm renders the Prometheus text exposition format.
-func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.Stats) {
+func (m *metrics) writeProm(w io.Writer, docs, queries, views, indexNodes int, st storage.Stats) {
 	fmt.Fprintf(w, "# HELP spannerd_uptime_seconds Time since the server started.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "spannerd_uptime_seconds %g\n", time.Since(m.start).Seconds())
@@ -250,6 +250,12 @@ func (m *metrics) writeProm(w io.Writer, docs, queries, views int, st storage.St
 	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_hit_rate slpmatch matrix-cache hit rate since process start.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_hit_rate gauge\n")
 	fmt.Fprintf(w, "spannerd_matrix_cache_hit_rate %s\n", rate(mh, mm))
+	fmt.Fprintf(w, "# HELP spannerd_index_nodes SLP nodes with data in the per-node tables of every registered query (scan indexes and exact counters).\n")
+	fmt.Fprintf(w, "# TYPE spannerd_index_nodes gauge\n")
+	fmt.Fprintf(w, "spannerd_index_nodes %d\n", indexNodes)
+	fmt.Fprintf(w, "# HELP spannerd_index_forgotten_nodes_total Per-node table entries deleted by sweeps after mutations superseded or deleted document versions (process-wide).\n")
+	fmt.Fprintf(w, "# TYPE spannerd_index_forgotten_nodes_total counter\n")
+	fmt.Fprintf(w, "spannerd_index_forgotten_nodes_total %d\n", slpmatch.ForgottenNodes())
 }
 
 // writeStorageProm renders the durability backend's counters: WAL

@@ -266,6 +266,28 @@ func (r *registry) flush() {
 	}
 }
 
+// retain sweeps the compressed-evaluation tables of every registered
+// query down to the nodes live reaches (see docspanner.Query.Retain).
+func (r *registry) retain(live []*docspanner.Document) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, p := range r.m {
+		p.query.Retain(live)
+	}
+}
+
+// cachedNodes sums the nodes with data in every registered query's
+// compressed-evaluation tables.
+func (r *registry) cachedNodes() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, p := range r.m {
+		n += p.query.CachedNodes()
+	}
+	return n
+}
+
 func (r *registry) len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

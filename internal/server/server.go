@@ -113,10 +113,11 @@ type Server struct {
 	sem     chan struct{} // concurrency limiter of the evaluation routes
 	mux     *http.ServeMux
 
-	// Async view refresher: mutations enqueue document names; the worker
-	// refreshes that document's views from the then-current snapshot.
-	// Version monotonicity makes coalesced and reordered deliveries safe.
-	refreshQ  chan string
+	// Async view refresher: mutations enqueue their docChange; the
+	// worker refreshes that document's views from the then-current
+	// snapshot. Version monotonicity makes coalesced and reordered
+	// deliveries safe.
+	refreshQ  chan docChange
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -160,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if cfg.ViewRefresh == "async" {
-		s.refreshQ = make(chan string, 1024)
+		s.refreshQ = make(chan docChange, 1024)
 		s.wg.Add(1)
 		go s.refreshWorker()
 	}
@@ -230,8 +231,8 @@ func (s *Server) refreshWorker() {
 		select {
 		case <-s.stop:
 			return
-		case name := <-s.refreshQ:
-			s.refreshDocViews(name)
+		case c := <-s.refreshQ:
+			s.applyDocChange(c)
 		}
 	}
 }
@@ -252,21 +253,51 @@ func (s *Server) refreshDocViews(name string) {
 	}
 }
 
-// notifyDocChanged triggers view maintenance after a successful mutation
-// of the named document — inline in sync mode, queued in async mode. A
-// full queue falls back to a synchronous refresh rather than dropping
+// docChange is a visible mutation of a document: its name, and whether
+// it superseded an earlier version of it. A compress of a document that
+// is already compressed says so too; that costs at most a sweep that was
+// due anyway.
+type docChange struct {
+	name       string
+	superseded bool
+}
+
+// applyDocChange runs the side effects of a mutation: view maintenance,
+// then, when the mutation superseded a version, a sweep of the query
+// tables — after the views, whose WarmDelta still reads the old
+// version's nodes.
+func (s *Server) applyDocChange(c docChange) {
+	s.refreshDocViews(c.name)
+	if c.superseded {
+		s.forgetSuperseded()
+	}
+}
+
+// notifyDocChanged triggers the side effects of a successful mutation
+// that produced sd — inline in sync mode, queued in async mode. A full
+// queue falls back to running them synchronously rather than dropping
 // the notification (a dropped edit would leave views stale until the
 // next mutation).
-func (s *Server) notifyDocChanged(name string) {
+func (s *Server) notifyDocChanged(sd *storedDoc) {
+	c := docChange{name: sd.name, superseded: sd.version > 1}
 	if s.refreshQ == nil {
-		s.refreshDocViews(name)
+		s.applyDocChange(c)
 		return
 	}
 	select {
-	case s.refreshQ <- name:
+	case s.refreshQ <- c:
 	default:
-		s.refreshDocViews(name)
+		s.applyDocChange(c)
 	}
+}
+
+// forgetSuperseded sweeps the compressed-evaluation tables of every
+// registered query down to the nodes the store's current documents
+// reach, so superseded and deleted versions stop holding memory. Each
+// table sweeps only once it has outgrown its budget (slpmatch.Retain),
+// so this is cheap to call after every such mutation.
+func (s *Server) forgetSuperseded() {
+	s.queries.retain(s.store.documents())
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -350,7 +381,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.writeProm(w, s.store.len(), s.queries.len(), s.views.Len(), s.storage.Stats())
+	s.metrics.writeProm(w, s.store.len(), s.queries.len(), s.views.Len(), s.queries.cachedNodes(), s.storage.Stats())
 	return nil
 }
 
@@ -386,6 +417,8 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) error {
 		"disconnects":       s.metrics.disconnects.Load(),
 		"matrix_cache_hits": mh,
 		"matrix_cache_miss": mm,
+		"index_nodes":       s.queries.cachedNodes(),
+		"index_forgotten":   slpmatch.ForgottenNodes(),
 	})
 	if !first {
 		fmt.Fprintf(w, ",\n")

@@ -405,6 +405,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"spannerd_matrix_cache_hits_total",
 		"spannerd_matrix_cache_misses_total",
 		"spannerd_matrix_cache_hit_rate",
+		"spannerd_index_nodes ",
+		"spannerd_index_forgotten_nodes_total ",
 		`spannerd_tuples_total{query="q",kind="eval"}`,
 		`spannerd_tuples_total{query="q",kind="stream"}`,
 		`spannerd_query_duration_seconds_bucket{query="q",kind="eval",le="+Inf"}`,
@@ -427,6 +429,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	own, ok := varz["spannerd"].(map[string]any)
 	if !ok {
 		t.Fatalf("/varz has no spannerd section: %v", varz)
+	}
+	if _, ok := own["index_nodes"]; !ok {
+		t.Errorf("varz spannerd section has no index_nodes: %v", own)
+	}
+	if _, ok := own["index_forgotten"]; !ok {
+		t.Errorf("varz spannerd section has no index_forgotten: %v", own)
 	}
 	if own["docs"] != float64(1) || own["queries"] != float64(1) {
 		t.Fatalf("varz spannerd section: %v", own)

@@ -323,6 +323,18 @@ func (s *docStore) list() []docInfo {
 	return out
 }
 
+// documents returns every current document's SLP form, plain ones
+// included: views and /warm index those too.
+func (s *docStore) documents() []*docspanner.Document {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*docspanner.Document, 0, len(s.docs))
+	for _, d := range s.docs {
+		out = append(out, d.doc)
+	}
+	return out
+}
+
 func (s *docStore) len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

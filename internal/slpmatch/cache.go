@@ -17,6 +17,20 @@ import (
 // shared SLP node once — also across goroutines — and the table is
 // collectable with the instance.
 //
+// Lifetime of an entry. A table is keyed by node pointers, so an entry
+// pins its node, and with it the document version the node came from,
+// for as long as the table lives. An entry lives until a Flush empties
+// the table or a Retain sweep finds its node unreachable from the live
+// documents' roots. The owner of the document database calls Retain
+// after every mutation that supersedes or deletes a version; a sweep
+// walks the live DAG, so it runs only once the table has grown to
+// retainGrowth times what the previous sweep kept, and the garbage it
+// removes pays for the walk. Between sweeps a table therefore holds at
+// most retainGrowth times the live nodes it had data for at the last
+// sweep (or RetainFloor entries), plus what was warmed since. Dropping
+// an entry whose node is still live costs a recomputation and nothing
+// else, exactly as after a Flush.
+//
 // The node→value tables are sharded maps under RWMutexes. Lookups of a
 // missing node release the lock, compute, and store; concurrent
 // computation of the same node is possible but harmless — the computed
@@ -46,12 +60,33 @@ func CacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
+// Sweep budget: retain sweeps only once a table holds at least
+// retainGrowth times the entries the previous sweep kept, and at least
+// RetainFloor entries, so tables of small databases are never swept.
+const (
+	retainGrowth = 1.25
+	// RetainFloor is the table size, in inner nodes, below which Retain
+	// never sweeps.
+	RetainFloor = 1024
+)
+
+// forgottenTotal counts the entries every sweep of the process deleted.
+var forgottenTotal atomic.Uint64
+
+// ForgottenNodes returns the cumulative number of per-node entries that
+// Retain sweeps have deleted, over every Index and Counter of the
+// process. It only grows, so servers can export it as a counter.
+func ForgottenNodes() uint64 { return forgottenTotal.Load() }
+
 // nodeCache is a sharded concurrent map from SLP nodes to per-node data.
 type nodeCache[V any] struct {
 	shards [cacheShards]struct {
 		mu sync.RWMutex
 		m  map[*slp.Node]V
 	}
+	// sweepMu serializes sweeps; kept is the size the last one left.
+	sweepMu sync.Mutex
+	kept    int
 }
 
 func newNodeCache[V any]() *nodeCache[V] {
@@ -102,6 +137,61 @@ func (c *nodeCache[V]) flush() {
 		s.m = make(map[*slp.Node]V)
 		s.mu.Unlock()
 	}
+}
+
+// retain deletes every entry whose node no root of live reaches and
+// returns how many it deleted. It sweeps only when the budget above
+// allows; otherwise it costs a size count and returns 0. Like flush it
+// is safe while lookups and stores are in flight: a live node it drops
+// is recomputed on demand, and a store racing the sweep may survive it
+// until the next one.
+func (c *nodeCache[V]) retain(live []*slp.Node) int {
+	c.sweepMu.Lock()
+	defer c.sweepMu.Unlock()
+	n := c.len()
+	if n < RetainFloor || float64(n) < retainGrowth*float64(c.kept) {
+		return 0
+	}
+	reach := reachable(live, n)
+	kept, forgotten := 0, 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		// A fresh map, so the buckets of the forgotten entries go too.
+		m := make(map[*slp.Node]V)
+		for k, v := range s.m {
+			if _, ok := reach[k]; ok {
+				m[k] = v
+			}
+		}
+		forgotten += len(s.m) - len(m)
+		kept += len(m)
+		s.m = m
+		s.mu.Unlock()
+	}
+	c.kept = kept
+	forgottenTotal.Add(uint64(forgotten))
+	return forgotten
+}
+
+// reachable returns the set of inner nodes of the DAGs rooted at roots;
+// hint is the expected size.
+func reachable(roots []*slp.Node, hint int) map[*slp.Node]struct{} {
+	seen := make(map[*slp.Node]struct{}, hint)
+	stack := append([]*slp.Node(nil), roots...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == nil || n.IsLeaf() {
+			continue
+		}
+		if _, ok := seen[n]; ok {
+			continue
+		}
+		seen[n] = struct{}{}
+		stack = append(stack, n.Left(), n.Right())
+	}
+	return seen
 }
 
 func (c *nodeCache[V]) len() int {

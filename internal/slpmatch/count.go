@@ -124,6 +124,11 @@ func (ct *Counter) CachedNodes() int { return ct.memo.len() }
 // Flush empties the count-matrix table in place (see Index.Flush).
 func (ct *Counter) Flush() { ct.memo.flush() }
 
+// Retain forgets the count matrices of every node that no root of live
+// reaches, within the same budget as Index.Retain, and returns how many
+// nodes it forgot.
+func (ct *Counter) Retain(live []*slp.Node) int { return ct.memo.retain(live) }
+
 // WarmDelta brings the count-matrix cache up to date after an edit that
 // turned oldRoot into newRoot, recomputing only the O(log d) fresh spine
 // nodes; a Count on newRoot afterwards is a single cache hit plus the

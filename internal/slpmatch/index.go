@@ -149,6 +149,18 @@ func (ix *Index) DEVA() *automata.DEVA { return ix.c.DEVA }
 // and everything that holds this Index keeps sharing the one table.
 func (ix *Index) Flush() { ix.nodes.flush() }
 
+// Retain forgets the per-node data of every node that no root of live
+// reaches — the versions the database has superseded or deleted — and
+// returns how many nodes it forgot. live must list every document the
+// Index is still meant to serve warm; a live node it misses is merely
+// recomputed on its next use. The sweep walks the live DAG, so it runs
+// only once the table has grown past its budget since the last sweep
+// (see the package's table lifetime rule); other calls return 0 at the
+// cost of a size count. Safe while other goroutines warm, enumerate or
+// count on the same Index, like Flush: a walk in flight follows the
+// data links it already holds and looks nothing up.
+func (ix *Index) Retain(live []*slp.Node) int { return ix.nodes.retain(live) }
+
 // Warm precomputes the index for all nodes of a document — the
 // preprocessing phase, linear in the SLP size (data complexity).
 func (ix *Index) Warm(root *slp.Node) {

@@ -13,7 +13,8 @@
 // documents of a database — and across goroutines — and is maintained
 // for free under CDE updates: an update adds O(log d) fresh nodes, and
 // only those need new matrices (Section 4.3). Sharing tables means
-// sharing the instance; dropping the instance frees them.
+// sharing the instance; dropping the instance frees them, and Retain
+// frees the data of document versions the database no longer holds.
 //
 // Matcher, Index, and Counter are safe for concurrent use. The automaton
 // an instance is built on must not be mutated afterwards.

@@ -2,6 +2,7 @@ package docspanner_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -139,5 +140,43 @@ func TestQueryHasOneIndex(t *testing.T) {
 		if misses() == m0 {
 			t.Errorf("%s: Flush left the tables warm", phase)
 		}
+	}
+}
+
+// TestQueryRetainSweepsIndexAndCounter: Query.Retain forgets a
+// superseded document version in the query's index and in its exact
+// counter alike, keeps the live one, and CachedNodes counts both tables.
+func TestQueryRetainSweepsIndexAndCounter(t *testing.T) {
+	q, err := qsyntax.Parse(".*!x{ab}.*", docspanner.Options{Alphabet: []byte("ab")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := q.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	version := func() *docspanner.Document {
+		b := make([]byte, 8<<10)
+		for i := range b {
+			b[i] = "ab"[rng.Intn(2)]
+		}
+		return docspanner.CompressDocument(b)
+	}
+	old, cur := version(), version()
+	inner := func(d *docspanner.Document) int { return d.GrammarSize() - 2 } // leaves a, b
+	for _, d := range []*docspanner.Document{old, cur} {
+		if got, want := ix.ExactCount(d).Int64(), int64(q.CountCompressed(d)); got != want {
+			t.Fatalf("ExactCount = %d, CountCompressed = %d", got, want)
+		}
+	}
+	if got, want := q.CachedNodes(), 2*(inner(old)+inner(cur)); got != want {
+		t.Fatalf("CachedNodes = %d, want %d (index and counter over two versions)", got, want)
+	}
+	if got, want := q.Retain([]*docspanner.Document{cur}), 2*inner(old); got != want {
+		t.Errorf("Retain forgot %d nodes, want %d", got, want)
+	}
+	if got, want := q.CachedNodes(), 2*inner(cur); got != want {
+		t.Errorf("CachedNodes after Retain = %d, want %d", got, want)
 	}
 }
