@@ -940,6 +940,60 @@ func BenchmarkE14EvalSharded(b *testing.B) {
 	}
 }
 
+// ---------- E17: the planner vs naive bottom-up evaluation ----------
+
+// BenchmarkE17Planner runs each query of the E17 suite on the same
+// document twice: planner-off is the classical bottom-up evaluation
+// (DisableRewrites + NaiveBackend), planner-on the full rewrite pipeline
+// with automatic backend selection. The suite is join- and
+// selection-heavy, the shapes where the rewrites change the asymptotics
+// rather than the constants; a planner-off op takes seconds.
+func BenchmarkE17Planner(b *testing.B) {
+	q := func(pattern string) *Query {
+		return MustQ(MustCompile(pattern, Options{Alphabet: []byte("ab")}))
+	}
+	eval := func(q *Query, doc []byte) { q.Eval(doc) }
+	suite := []struct {
+		name  string
+		query *Query
+		doc   []byte
+		op    func(*Query, []byte)
+	}{
+		// Duplicate union branches: SP008 dedup collapses the union to one
+		// branch, which runs constant-delay instead of two naive scans.
+		{"dedup-union/n=2^10", q(".*!x{a+}.*").Union(q(".*!x{aa*}.*")), randomDoc(1<<10, 41), eval},
+		// Provably empty join (x must be "ab" and "ba" at the same span):
+		// the SP003 lint prune rewrites the whole plan to ∅.
+		{"dead-join/n=2^10", q(".*!x{ab}.*").Join(q(".*!x{ba}.*")), randomDoc(1<<10, 42), eval},
+		// Projection pushdown drops j below the join, which then fuses to
+		// one scan instead of building the {x, j} × {x} intermediate.
+		{"proj-pushdown-join/n=2^9", q(".*!x{ab}.*!j{a}.*").Join(q(".*!x{ab}.*")).Project("x"), randomDoc(1<<9, 43), eval},
+		// The selection survives every rewrite, but its input scan switches
+		// from the naive automaton search to constant-delay enumeration.
+		{"selection-scan/n=2^9", q(".*b!x{a+}b.*b!y{a+}b.*").SelectEqual("x", "y"), randomDoc(1<<9, 44), eval},
+		// Planner-on counts a fused union without materializing anything.
+		{"count-fused-union/n=2^10", q(".*!x{ab}.*").Union(q("a*!x{ba}(a|b)*")), randomDoc(1<<10, 45),
+			func(q *Query, doc []byte) { q.Count(doc) }},
+	}
+	sides := []struct {
+		name string
+		opts PlanOptions
+	}{
+		{"planner-off", PlanOptions{DisableRewrites: true, NaiveBackend: true}},
+		{"planner-on", PlanOptions{}},
+	}
+	for _, it := range suite {
+		for _, side := range sides {
+			pq := it.query.WithPlan(side.opts)
+			b.Run(it.name+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					it.op(pq, it.doc)
+				}
+			})
+		}
+	}
+}
+
 // ---------- E25: the materializing backend on the loganalysis core query ----------
 
 const logAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789 :=[]>-.\n"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -101,5 +102,29 @@ func TestCodeTable(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "SP099") || !strings.Contains(msg, "SP001") || !strings.Contains(msg, "SP010") {
 		t.Errorf("error should name the bad code and the valid range: %v", err)
+	}
+}
+
+// BenchmarkLintCorpus lints the repository's example corpus, as CI's
+// spanlint step does (E15 of EXPERIMENTS.md): static analysis costs
+// query complexity only, no document is read, and every entry must stay
+// lint-clean.
+func BenchmarkLintCorpus(b *testing.B) {
+	blob, err := os.ReadFile("../../examples/lint/corpus.txt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var inputs []string
+	for _, line := range strings.Split(string(blob), "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			inputs = append(inputs, line)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			if ds := lintInput(in, docspanner.Options{}); len(ds) != 0 {
+				b.Fatalf("%q: %v", in, ds)
+			}
+		}
 	}
 }

@@ -392,6 +392,45 @@ func TestClusterMergedStream(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsMalformedIntParams: the coordinator answers a
+// malformed or negative ?limit= on a merged stream with a 400 before it
+// fans out, and passes the owner's 400 through for the proxied paths.
+func TestClusterRejectsMalformedIntParams(t *testing.T) {
+	tc := newTestCluster(t, 2, CoordinatorConfig{})
+	tc.json(t, "PUT", "/queries/q", `{"src": ".*!x{ab}.*"}`)
+	d0 := tc.docOwnedBy(t, 0, "ip0")
+	d1 := tc.docOwnedBy(t, 1, "ip1")
+	tc.json(t, "PUT", "/docs/"+d0+"?compress=1", strings.Repeat("ab", 20))
+	tc.json(t, "PUT", "/docs/"+d1, strings.Repeat("ab", 30))
+	code, _ := tc.json(t, "PUT", "/docs/"+d0+"/views/q", "")
+	mustStatus(t, code, 201, "put view")
+
+	for _, c := range []struct{ method, path, param string }{
+		{"GET", "/stream?query=q&docs=" + d0 + "," + d1 + "&limit=1O", "limit"},
+		{"GET", "/stream?query=q&docs=*&limit=-1", "limit"},
+		{"GET", "/stream?query=q&doc=" + d1 + "&limit=-1", "limit"},
+		{"GET", "/docs/" + d0 + "/changes?query=q&since=abc", "since"},
+		{"POST", "/docs/" + d0 + "/warm?query=q&workers=-1", "workers"},
+	} {
+		code, body := tc.json(t, c.method, c.path, "")
+		mustStatus(t, code, 400, c.path)
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "bad "+c.param) {
+			t.Fatalf("%s: error %q does not name ?%s=", c.path, msg, c.param)
+		}
+	}
+
+	// limit=0 is no limit on the merged stream too.
+	resp, err := http.Get(tc.front.URL + "/stream?query=q&docs=" + d0 + "," + d1 + "&limit=0")
+	if err != nil {
+		t.Fatalf("stream limit=0: %v", err)
+	}
+	defer resp.Body.Close()
+	mustStatus(t, resp.StatusCode, 200, "merged stream limit=0")
+	if _, summary := readMerged(t, resp.Body, nil); summary["count"] != float64(50) {
+		t.Fatalf("limit=0 summary = %v, want all 50 tuples", summary)
+	}
+}
+
 func TestClusterKillWorkerMidStream(t *testing.T) {
 	tc := newTestCluster(t, 2, CoordinatorConfig{
 		// Slow probes and no retries: the kill must surface as a

@@ -97,10 +97,13 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 	if query == "" {
 		return errBadRequest("stream needs ?query=")
 	}
+	limit, err := intParam(r, "limit", 0)
+	if err != nil {
+		return err
+	}
 	docsParam := r.URL.Query().Get("docs")
 	docs := splitDocs(docsParam)
 	if docsParam == "*" {
-		var err error
 		if docs, err = c.listAllDocs(r); err != nil {
 			return err
 		}
@@ -112,7 +115,6 @@ func (c *Coordinator) handleMergedStream(w http.ResponseWriter, r *http.Request)
 		return err
 	}
 	contentParam := r.URL.Query().Get("content")
-	limit := intParam(r, "limit", 0)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)

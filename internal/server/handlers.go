@@ -114,8 +114,9 @@ func (s *Server) handleDocEdit(w http.ResponseWriter, r *http.Request) error {
 
 // handleDocWarm runs the compressed-evaluation preprocessing of a
 // prepared query (?query=) over the named document, spreading the
-// independent SLP DAG levels over ?workers= goroutines. 422 when the
-// query's plan does not fuse to a single regular scan.
+// independent SLP DAG levels over ?workers= goroutines (at most
+// GOMAXPROCS, which is also the default). 422 when the query's plan does
+// not fuse to a single regular scan.
 func (s *Server) handleDocWarm(w http.ResponseWriter, r *http.Request) error {
 	d, err := s.store.get(r.PathValue("name"))
 	if err != nil {
@@ -129,9 +130,12 @@ func (s *Server) handleDocWarm(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return &httpError{status: 422, message: err.Error()}
 	}
-	workers := intParam(r, "workers", 0)
+	workers, err := intParam(r, "workers", 0)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
-	ix.WarmParallel(d.doc, workers)
+	ix.WarmParallel(d.doc, min(workers, runtime.GOMAXPROCS(0)))
 	writeJSON(w, 200, map[string]any{
 		"doc":          d.name,
 		"query":        p.name,
@@ -379,7 +383,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	limit := intParam(r, "limit", 0)
+	limit, err := intParam(r, "limit", 0)
+	if err != nil {
+		return err
+	}
 	wc := withContent(r)
 	doc := contentDoc(d, wc)
 
@@ -517,14 +524,16 @@ func boolParam(r *http.Request, name string) bool {
 	return v == "1" || v == "true"
 }
 
-func intParam(r *http.Request, name string, def int) int {
+// intParam reads a non-negative integer query parameter, def when it is
+// absent; anything else is a 400, as a bad ?timeout= is.
+func intParam(r *http.Request, name string, def int) (int, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
-		return def
+		return def, nil
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
+	if err != nil || n < 0 {
+		return 0, errBadRequest(fmt.Sprintf("bad %s %q (want a non-negative integer)", name, v))
 	}
-	return n
+	return n, nil
 }

@@ -192,7 +192,10 @@ func (s *Server) handleDocChanges(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	since := intParam(r, "since", -1)
+	since, err := intParam(r, "since", -1)
+	if err != nil {
+		return err
+	}
 	if since < 0 {
 		return errBadRequest("changes needs ?since=<version>")
 	}

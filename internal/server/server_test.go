@@ -389,6 +389,44 @@ func TestTimeoutsAndLimiter(t *testing.T) {
 	mustStatus(t, code, 503, "limiter full")
 }
 
+// TestIntParamsRejectMalformed: a malformed or negative ?limit=, ?since=
+// or ?workers= is a 400 naming the parameter, never a silent default; a
+// huge ?workers= is clamped to GOMAXPROCS.
+func TestIntParamsRejectMalformed(t *testing.T) {
+	s := newTestServer(t, Config{})
+	do(t, s, "PUT", "/docs/d?compress=1", strings.Repeat("ab", 50))
+	do(t, s, "PUT", "/queries/q", `{"src": ".*!x{ab}.*"}`)
+	code, _ := do(t, s, "PUT", "/docs/d/views/q", "")
+	mustStatus(t, code, 201, "put view")
+
+	for _, c := range []struct{ method, target, param string }{
+		{"GET", "/stream?query=q&doc=d&limit=1O", "limit"},
+		{"GET", "/stream?query=q&doc=d&limit=-1", "limit"},
+		{"GET", "/docs/d/changes?query=q&since=abc", "since"},
+		{"GET", "/docs/d/changes?query=q&since=-3", "since"},
+		{"POST", "/docs/d/warm?query=q&workers=many", "workers"},
+		{"POST", "/docs/d/warm?query=q&workers=-2", "workers"},
+	} {
+		code, body := do(t, s, c.method, c.target, "")
+		mustStatus(t, code, 400, c.target)
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "bad "+c.param) {
+			t.Fatalf("%s: error %q does not name ?%s=", c.target, msg, c.param)
+		}
+	}
+
+	// limit=0 and an absent limit both stream everything.
+	for _, target := range []string{"/stream?query=q&doc=d&limit=0", "/stream?query=q&doc=d"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		mustStatus(t, rec.Code, 200, target)
+		if lines := strings.Count(rec.Body.String(), "\n"); lines != 51 {
+			t.Fatalf("%s: %d lines, want 50 tuples and a summary", target, lines)
+		}
+	}
+	code, _ = do(t, s, "POST", "/docs/d/warm?query=q&workers=1000000", "")
+	mustStatus(t, code, 200, "warm with huge workers")
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	do(t, s, "PUT", "/docs/d?compress=1", "abab")

@@ -3,6 +3,7 @@ package slp
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -236,6 +237,64 @@ func TestCDEUpdatePreservesBalanceChain(t *testing.T) {
 		}
 		cur = next
 	}
+}
+
+// TestCDEUpdateSharesAllButLogNodes pins E7's claim, a CDE expression φ
+// evaluates in O(|φ|·log d) on a strongly balanced SLP, by counting the
+// nodes the result does not share with its operand: at most 2·|φ|·log₂ n
+// at every n, where a rebuild of the result would create Θ(|S|). D
+// repeats a random 1 KiB block, so |S| > 1024 and no rebuild is small.
+func TestCDEUpdateSharesAllButLogNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	block := make([]byte, 1024)
+	for i := range block {
+		block[i] = "abcd"[rng.Intn(4)]
+	}
+	for _, exp := range []int{12, 16, 20} {
+		n := int64(1) << exp
+		d := Repeat(FromBytes(block), n/1024)
+		db := NewDB()
+		db.Add("D", d)
+		e, err := ParseCDE(fmt.Sprintf("insert(delete(D,%d,%d), extract(D,1,64), %d)", n/4, n/4+999, n/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Eval(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := map[*Node]bool{}
+		reach(d, old)
+		all := map[*Node]bool{}
+		reach(res, all)
+		fresh := 0
+		for m := range all {
+			if !old[m] {
+				fresh++
+			}
+		}
+		bound := 2 * SizeOf(e) * exp
+		t.Logf("n=2^%d: |S|=%d, %d fresh nodes, bound %d", exp, len(old), fresh, bound)
+		if fresh > bound {
+			t.Fatalf("n=2^%d: the result has %d nodes not shared with D, want at most 2·|φ|·log₂ n = %d", exp, fresh, bound)
+		}
+		if !res.StronglyBalanced() {
+			t.Fatalf("n=2^%d: result not strongly balanced", exp)
+		}
+		if res.Len() != n-1000+64 {
+			t.Fatalf("n=2^%d: result length %d, want %d", exp, res.Len(), n-1000+64)
+		}
+	}
+}
+
+// reach adds the distinct nodes of the DAG under n to seen.
+func reach(n *Node, seen map[*Node]bool) {
+	if n == nil || seen[n] {
+		return
+	}
+	seen[n] = true
+	reach(n.left, seen)
+	reach(n.right, seen)
 }
 
 func TestCDEStringsAllOps(t *testing.T) {

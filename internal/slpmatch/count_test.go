@@ -99,27 +99,33 @@ func TestCounterEmptyDoc(t *testing.T) {
 
 func TestCounterAstronomical(t *testing.T) {
 	// !x{.*}!y{.*}!z{.*} partitions the document at two boundaries
-	// 1 ≤ i ≤ j ≤ n+1: exactly (n+1)(n+2)/2 tuples. On n = 2^40 the count
-	// has 24 digits — far beyond anything enumerable — and the compressed
-	// counter delivers it exactly from a ~100-node SLP.
+	// 1 ≤ i ≤ j ≤ n+1: exactly (n+1)(n+2)/2 tuples. On n = 2^60 the count
+	// has 36 digits — far beyond anything enumerable — and the compressed
+	// counter delivers it exactly from a ~100-node SLP. E13's claim, a
+	// count linear in |S|, is pinned by counting: one count matrix per
+	// distinct inner node of the DAG.
 	d := spannerDEVA(t, "!x{(a|b)*}!y{(a|b)*}!z{(a|b)*}")
-	c := NewCounter(d)
-	n := int64(1) << 40
-	root := slp.Repeat(slp.FromBytes([]byte("ab")), n/2)
-	got := c.Count(root)
-
-	want := new(big.Int).SetInt64(n + 1)
-	want.Mul(want, big.NewInt(n+2))
-	want.Div(want, big.NewInt(2))
-	if got.Cmp(want) != 0 {
-		t.Errorf("Count = %v, want %v", got, want)
-	}
-
-	// Two adjacent variables: n+1 boundary placements.
 	d2 := spannerDEVA(t, "!x{(a|b)*}!y{(a|b)*}")
-	c2 := NewCounter(d2)
-	if got := c2.Count(root); got.Cmp(big.NewInt(n+1)) != 0 {
-		t.Errorf("two-variable Count = %v, want %d", got, n+1)
+	for _, exp := range []int{20, 40, 60} {
+		c := NewCounter(d)
+		n := int64(1) << exp
+		root := slp.Repeat(slp.FromBytes([]byte("ab")), n/2)
+		got := c.Count(root)
+		if cached, inner := c.CachedNodes(), innerNodes(root); cached != inner {
+			t.Fatalf("n=2^%d: %d count matrices stored, want one per distinct inner node (%d)", exp, cached, inner)
+		}
+
+		want := new(big.Int).SetInt64(n + 1)
+		want.Mul(want, big.NewInt(n+2))
+		want.Div(want, big.NewInt(2))
+		if got.Cmp(want) != 0 {
+			t.Errorf("n=2^%d: Count = %v, want %v", exp, got, want)
+		}
+
+		// Two adjacent variables: n+1 boundary placements.
+		if got := NewCounter(d2).Count(root); got.Cmp(big.NewInt(n+1)) != 0 {
+			t.Errorf("n=2^%d: two-variable Count = %v, want %d", exp, got, n+1)
+		}
 	}
 }
 

@@ -52,23 +52,32 @@ func TestCompressedMembership(t *testing.T) {
 	}
 }
 
+// TestCompressedMembershipHugeDoc pins E3's claim, O(|S|) Boolean matrix
+// products for membership of (ab)^{n/2} in (ab)*, by counting: one
+// product per distinct inner node of the DAG, whatever n, and none for a
+// second question about the same document.
 func TestCompressedMembershipHugeDoc(t *testing.T) {
-	// (ab)^2^20 — exponentially compressed; membership must run on the
-	// tiny SLP without decompressing.
-	m, err := NewMatcher(plainNFA(t, "(ab)*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := slp.Repeat(slp.FromBytes([]byte("ab")), 1<<20)
-	if !m.Accepts(root) {
-		t.Error("huge periodic doc rejected")
-	}
-	odd := slp.Concat(root, slp.FromBytes([]byte("a")))
-	if m.Accepts(odd) {
-		t.Error("odd-length doc accepted")
-	}
-	if m.CachedNodes() > 200 {
-		t.Errorf("matrix cache has %d nodes, expected O(|S|)", m.CachedNodes())
+	nfa := plainNFA(t, "(ab)*")
+	for _, exp := range []int{12, 16, 20} {
+		m, err := NewMatcher(nfa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := slp.Repeat(slp.FromBytes([]byte("ab")), 1<<(exp-1))
+		if !m.Accepts(root) {
+			t.Fatalf("n=2^%d: periodic doc rejected", exp)
+		}
+		if got, want := m.CachedNodes(), innerNodes(root); got != want {
+			t.Fatalf("n=2^%d: %d node matrices stored, want one per distinct inner node (%d)", exp, got, want)
+		}
+		_, missesBefore := CacheStats()
+		m.Accepts(root)
+		if _, misses := CacheStats(); misses != missesBefore {
+			t.Fatalf("n=2^%d: second Accepts missed the table %d times, want 0", exp, misses-missesBefore)
+		}
+		if m.Accepts(slp.Concat(root, slp.Leaf('a'))) {
+			t.Fatalf("n=2^%d: odd-length doc accepted", exp)
+		}
 	}
 }
 
