@@ -548,9 +548,10 @@ func BenchmarkE12Equivalence(b *testing.B) {
 // ---------- ablations ----------
 
 // BenchmarkAblationEnumVsNaive compares the jump-pointer enumerator with
-// naive BFS materialization on the same spanner and document. The naive
-// search carries partial assignments through every position (quadratic
-// and worse), so it only gets a small document.
+// the naive configuration search (vset.Eval, sub-benchmark naive-bfs) on
+// the same spanner and document. The naive search
+// carries partial assignments through every position (quadratic and
+// worse), so it only gets a small document.
 func BenchmarkAblationEnumVsNaive(b *testing.B) {
 	nfa := compileBench(b, ".*!x{ab}.*", "ab")
 	d := automata.Determinize(nfa)

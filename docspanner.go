@@ -123,17 +123,23 @@ func Compile(pattern string, opts Options) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Spanner{pattern: pattern, nfa: nfa, ast: ast, schemaless: opts.Schemaless}
-	if nfa.HasRefs() {
-		rs, err := refl.New(nfa)
+	return newSpanner(&Spanner{pattern: pattern, nfa: nfa, ast: ast, schemaless: opts.Schemaless})
+}
+
+// newSpanner checks s's automaton under s's semantics — a functional
+// spanner must assign every variable on every accepting path, with or
+// without references — and wraps an automaton with references as a
+// refl-spanner.
+func newSpanner(s *Spanner) (*Spanner, error) {
+	if err := s.nfa.Validate(!s.schemaless); err != nil {
+		return nil, err
+	}
+	if s.nfa.HasRefs() {
+		rs, err := refl.New(s.nfa)
 		if err != nil {
 			return nil, err
 		}
 		s.rspanner = rs
-		return s, nil
-	}
-	if err := nfa.Validate(!opts.Schemaless); err != nil {
-		return nil, err
 	}
 	return s, nil
 }

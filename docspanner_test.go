@@ -37,6 +37,51 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestFunctionalityIsCheckedWithReferences: a pattern with references
+// that leaves a variable unassigned on some accepting path is refused
+// under functional semantics, on Compile and on LoadSpanner, exactly as a
+// regular pattern is; schemaless, it compiles, and its decision problems
+// agree with its evaluation.
+func TestFunctionalityIsCheckedWithReferences(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		doc     string
+		want    Tuple // the one tuple of the schemaless spanner on doc
+	}{
+		{`!x{a}&x|!y{b}`, "b", Tuple{"y": NewSpan(1, 2)}},
+		{`!x{a}&x|b`, "b", Tuple{}},
+	} {
+		if _, err := Compile(c.pattern, Options{}); err == nil {
+			t.Errorf("%s: compiled under functional semantics, yet a path leaves a variable unassigned", c.pattern)
+		}
+		s, err := Compile(c.pattern, Options{Schemaless: true})
+		if err != nil {
+			t.Fatalf("%s: schemaless Compile: %v", c.pattern, err)
+		}
+		doc := []byte(c.doc)
+		if rel := s.Eval(doc); rel.Len() != 1 || !rel.Contains(c.want) {
+			t.Errorf("%s: Eval(%q) = %v, want {%v}", c.pattern, c.doc, rel, c.want)
+		}
+		if !s.NonEmpty(doc) || !s.Satisfiable() {
+			t.Errorf("%s: NonEmpty(%q) = %v, Satisfiable = %v", c.pattern, c.doc, s.NonEmpty(doc), s.Satisfiable())
+		}
+		if wdoc, wt, ok := s.Witness(); !ok || !s.Eval(wdoc).Contains(wt) {
+			t.Errorf("%s: Witness (%q, %v, %v) is not in the spanner's result", c.pattern, wdoc, wt, ok)
+		}
+		data, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		functional := strings.Replace(string(data), `"schemaless":true,`, "", 1)
+		if functional == string(data) {
+			t.Fatalf("%s: no schemaless flag in %s", c.pattern, data)
+		}
+		if _, err := LoadSpanner([]byte(functional)); err == nil {
+			t.Errorf("%s: LoadSpanner accepted it as a functional spanner", c.pattern)
+		}
+	}
+}
+
 func TestEnumerateEarlyStop(t *testing.T) {
 	s := MustCompile(".*!x{a}.*", Options{Alphabet: []byte("a")})
 	n := 0

@@ -57,8 +57,9 @@ func (k PlanKind) String() string {
 // scanned as a whole, never rewritten. *refl.Spanner satisfies it.
 type ExternalSpanner interface {
 	Vars() spans.VarSet
-	Eval(doc []byte, functional bool) *spans.Relation
-	Enumerate(doc []byte, functional bool, f func(spans.Tuple) bool)
+	// Each calls f for every result tuple on doc, each once, and reports
+	// whether it finished: false when f or poll (nil for none) stopped it.
+	Each(doc []byte, functional bool, poll func() bool, f func(spans.Tuple) bool) bool
 }
 
 // Plan is a node of the logical query plan derived from an Expr. Unlike
@@ -159,7 +160,9 @@ func (p *Plan) Eval(doc []byte, sem vset.Semantics) *spans.Relation {
 	case PScan:
 		return vset.Eval(p.Auto, doc, sem)
 	case PExtScan:
-		return p.Ext.Eval(doc, sem == vset.Functional)
+		out := spans.NewRelation()
+		p.Ext.Each(doc, sem == vset.Functional, nil, func(t spans.Tuple) bool { out.Add(t); return true })
+		return out
 	case PUnion:
 		out := p.Children[0].Eval(doc, sem)
 		for _, c := range p.Children[1:] {

@@ -68,9 +68,10 @@ type physNode interface {
 	// rows materializes the node's relation in positional form for the
 	// operator above it; each yields its tuples, reporting false when f
 	// stopped it. poll (nil for none) is the cancellation hook of whatever
-	// materializes: it runs once every spans.PollEvery rows, and a node it
-	// stops returns nil rows, or false from each without a call of f. A
-	// streaming each materializes nothing and leaves polling to f.
+	// materializes or searches: it runs once every spans.PollEvery rows or
+	// search configurations, and a node it stops returns nil rows, or
+	// false from each without a further call of f. A constant-delay each
+	// materializes nothing and leaves polling to f.
 	rows(src Source, poll func() bool) *spans.Rows
 	each(src Source, poll func() bool, f func(spans.Tuple) bool) bool
 }
@@ -78,7 +79,7 @@ type physNode interface {
 // collectRows reads a leaf's distinct tuples into rows at the leaf.
 func collectRows(n physNode, src Source, poll func() bool) *spans.Rows {
 	out := spans.NewRows(n.lp().Vars())
-	complete := n.each(src, nil, func(t spans.Tuple) bool {
+	complete := n.each(src, poll, func(t spans.Tuple) bool {
 		out.AppendTuple(t)
 		return out.Len()%spans.PollEvery != 0 || poll == nil || poll()
 	})
@@ -167,9 +168,9 @@ func (s *scanPhys) rows(src Source, poll func() bool) *spans.Rows {
 	return collectRows(s, src, poll)
 }
 
-func (s *scanPhys) each(src Source, _ func() bool, f func(spans.Tuple) bool) bool {
+func (s *scanPhys) each(src Source, poll func() bool, f func(spans.Tuple) bool) bool {
 	if s.naive {
-		return eachOf(vset.Eval(s.plan.Auto, src.Bytes(), s.sem()), f)
+		return vset.Search(s.plan.Auto, src.Bytes(), s.sem(), nil, poll, f)
 	}
 	stopped := false
 	if src.text != nil {
@@ -191,7 +192,7 @@ func (s *scanPhys) each(src Source, _ func() bool, f func(spans.Tuple) bool) boo
 	return !stopped
 }
 
-// extScanPhys calls an external (refl) spanner's own search.
+// extScanPhys streams an external (refl) spanner through its Each.
 type extScanPhys struct {
 	plan       *algebra.Plan
 	functional bool
@@ -202,20 +203,12 @@ func (x *extScanPhys) children() []physNode { return nil }
 func (x *extScanPhys) backend() string      { return "refl-search" }
 func (x *extScanPhys) streaming() bool      { return true }
 
-// rows goes through the spanner's Eval: its search may find a tuple
-// more than once, and only Eval removes the repetitions.
-func (x *extScanPhys) rows(src Source, _ func() bool) *spans.Rows {
-	out := spans.NewRows(x.plan.Ext.Vars())
-	for _, t := range x.plan.Ext.Eval(src.Bytes(), x.functional).Tuples() {
-		out.AppendTuple(t)
-	}
-	return out
+func (x *extScanPhys) rows(src Source, poll func() bool) *spans.Rows {
+	return collectRows(x, src, poll)
 }
 
-func (x *extScanPhys) each(src Source, _ func() bool, f func(spans.Tuple) bool) bool {
-	stopped := false
-	x.plan.Ext.Enumerate(src.Bytes(), x.functional, stopAware(f, &stopped))
-	return !stopped
+func (x *extScanPhys) each(src Source, poll func() bool, f func(spans.Tuple) bool) bool {
+	return x.plan.Ext.Each(src.Bytes(), x.functional, poll, f)
 }
 
 // emptyPhys is a pruned subtree.
@@ -353,15 +346,6 @@ func (m *matPhys) fold(src Source, poll func() bool, op func(acc, r *spans.Rows,
 	return acc
 }
 
-func eachOf(r *spans.Relation, f func(spans.Tuple) bool) bool {
-	for _, t := range r.Tuples() {
-		if !f(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // Planned is an executable plan: the rewritten logical tree plus the
 // physical operators chosen for it. It is safe for concurrent use.
 type Planned struct {
@@ -399,18 +383,6 @@ func (pl *Planned) Passes() []string { return pl.passNotes }
 // rather than materializing the full relation first.
 func (pl *Planned) Streaming() bool { return pl.root.streaming() }
 
-// DistinctEnumeration reports whether Enumerate delivers every result
-// tuple exactly once, so collecting its output needs no deduplication.
-// True for every root operator with an inherent distinctness guarantee:
-// scans enumerate the runs of a deterministic automaton (one run per
-// tuple), and materializing roots iterate a set-semantics relation.
-// Only refl-spanner scans, whose search may revisit a tuple through
-// different reference valuations, answer false.
-func (pl *Planned) DistinctEnumeration() bool {
-	_, refl := pl.root.(*extScanPhys)
-	return !refl
-}
-
 // Eval materializes the plan's relation on src.
 func (pl *Planned) Eval(src Source) *spans.Relation {
 	out := spans.NewRelation()
@@ -422,15 +394,18 @@ func (pl *Planned) Eval(src Source) *spans.Relation {
 // the enumeration early. On an SLP source the raw text is only
 // decompressed if an operator requires it. poll, if non-nil, is the
 // cancellation hook for what a plan with residual algebra materializes
-// before its first tuple: the operators call it once every
-// spans.PollEvery rows they read or emit, and when it returns false the
-// enumeration ends without a call of f. Between tuples f is the hook.
-func (pl *Planned) Enumerate(src Source, poll func() bool, f func(spans.Tuple) bool) {
+// before its first tuple and for the configuration searches of naive and
+// refl scans: the operators call it once every spans.PollEvery rows they
+// read or emit, the searches once every spans.PollEvery configurations,
+// and when it returns false the enumeration ends without a further call
+// of f. Between tuples f is the hook. Enumerate reports whether it
+// finished: false when f or poll stopped it.
+func (pl *Planned) Enumerate(src Source, poll func() bool, f func(spans.Tuple) bool) bool {
 	if rt := pl.requireTotal; len(rt) > 0 {
 		yield := f
 		f = func(t spans.Tuple) bool { return !t.TotalOn(rt) || yield(t) }
 	}
-	pl.root.each(src, poll, f)
+	return pl.root.each(src, poll, f)
 }
 
 // CountPoll counts result tuples without materializing them whenever the
@@ -447,7 +422,8 @@ func (pl *Planned) Enumerate(src Source, poll func() bool, f func(spans.Tuple) b
 // finishes). A plan with residual algebra counts the rows of its root
 // relation and builds no tuple; poll runs inside its operators as in
 // Enumerate, and an aborted count is zero. The remaining scans (naive,
-// refl) fall back to counting the enumeration.
+// refl) count their search's tuples, polled inside the search as in
+// Enumerate and once per counted tuple.
 func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 	if s, ok := pl.root.(*scanPhys); ok && !s.naive {
 		// Tuples must be total on the plan-level requirement plus, under
@@ -472,14 +448,10 @@ func (pl *Planned) CountPoll(src Source, poll func() bool) (int, bool) {
 		}
 		return rows.CountTotal(pl.requireTotal), true
 	}
-	n, complete := 0, true
-	pl.Enumerate(src, nil, func(spans.Tuple) bool {
+	n := 0
+	complete := pl.Enumerate(src, poll, func(spans.Tuple) bool {
 		n++
-		if poll != nil && !poll() {
-			complete = false
-			return false
-		}
-		return true
+		return poll == nil || poll()
 	})
 	return n, complete
 }

@@ -37,11 +37,6 @@ func submod(a, b uint64) uint64 {
 	return a + hashMod - b
 }
 
-// factorEq answers factor-equality queries doc[i:i+l] == doc[j:j+l].
-type factorEq interface {
-	Eq(i, j, l int) bool
-}
-
 // naiveEq is the O(l)-per-query baseline.
 type naiveEq []byte
 

@@ -17,10 +17,11 @@ import (
 
 	"docspanner/internal/automata"
 	"docspanner/internal/spans"
+	"docspanner/internal/vset"
 )
 
 // Spanner is a refl-spanner: an NFA over Σ ∪ markers ∪ references.
-// Evaluation (Eval, Enumerate, ModelCheck, NonEmpty) allocates its search
+// Evaluation (Eval, Each, ModelCheck, NonEmpty) allocates its search
 // state per call, so a shared Spanner is safe for concurrent use as long
 // as NaiveCompare is set before the instance is shared.
 type Spanner struct {
@@ -117,169 +118,37 @@ func backwardOnly(n *automata.NFA, v spans.Var) error {
 // Vars returns the spanner's variable set.
 func (s *Spanner) Vars() spans.VarSet { return s.A.Vars }
 
-// Eval computes ⟦L⟧(doc) = { st(𝔡(w)) : w ∈ L, e(𝔡(w)) = doc }: the search
-// explores configurations (state, position, assignment), and a reference
-// transition for x consumes the factor of doc equal to x's extracted
-// content, verified in O(1) with the rolling-hash structure. NP-hard in
-// general (the assignment guessing is the hardness source, Section 3.3);
-// output-sensitive in practice.
+// Eval computes ⟦L⟧(doc) = { st(𝔡(w)) : w ∈ L, e(𝔡(w)) = doc }.
 func (s *Spanner) Eval(doc []byte, functional bool) *spans.Relation {
 	out := spans.NewRelation()
-	s.search(doc, functional, func(t spans.Tuple) bool {
-		out.Add(t)
-		return true
-	})
+	s.Each(doc, functional, nil, func(t spans.Tuple) bool { out.Add(t); return true })
 	return out
 }
 
-// Enumerate streams the result tuples on doc without duplicates, calling
-// f for each; the search stops as soon as f returns false. Unlike Eval it
-// never materializes the full relation, so early termination (taking the
-// first k tuples, or probing for non-emptiness) does only the work needed
-// to produce the tuples actually delivered. Distinct search configurations
-// can reach the same tuple, so duplicates are suppressed on the fly by
-// canonical tuple key.
-func (s *Spanner) Enumerate(doc []byte, functional bool, f func(spans.Tuple) bool) {
-	seen := map[string]bool{}
-	s.search(doc, functional, func(t spans.Tuple) bool {
-		k := t.Key()
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-		return f(t)
-	})
+// Each calls f for every result tuple on doc, each once, through the
+// configuration search of vset.Search: a reference transition for x
+// consumes the factor of doc equal to x's extracted content, verified in
+// O(1) with the rolling-hash structure. NP-hard in general (the
+// assignment guessing is the hardness source, Section 3.3); the search
+// stops, reporting false, as soon as f returns false or poll (nil for
+// none, called once every spans.PollEvery configurations) does.
+func (s *Spanner) Each(doc []byte, functional bool, poll func() bool, f func(spans.Tuple) bool) bool {
+	sem := vset.Schemaless
+	if functional {
+		sem = vset.Functional
+	}
+	return vset.Search(s.A, doc, sem, s.hasher(doc), poll, f)
 }
 
 // NonEmpty decides ⟦L⟧(doc) ≠ ∅ — NP-hard for refl-spanners (Section
-// 3.3); implemented as the Eval search with early exit.
+// 3.3); implemented as the search with early exit.
 func (s *Spanner) NonEmpty(doc []byte) bool {
-	found := false
-	s.search(doc, false, func(spans.Tuple) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// search runs the configuration search, invoking emit for every result
-// tuple until emit returns false.
-func (s *Spanner) search(doc []byte, functional bool, emit func(spans.Tuple) bool) {
-	n := s.A
-	k := len(n.Vars)
-	h := s.hasher(doc)
-
-	type cfg struct {
-		q   int
-		pos int
-		asg string
-	}
-	zero := make([]byte, 8*k)
-	getMark := func(asg string, idx int) int {
-		off := idx * 4
-		return int(asg[off]) | int(asg[off+1])<<8 | int(asg[off+2])<<16 | int(asg[off+3])<<24
-	}
-	setMark := func(asg string, idx, val int) string {
-		b := []byte(asg)
-		off := idx * 4
-		b[off] = byte(val)
-		b[off+1] = byte(val >> 8)
-		b[off+2] = byte(val >> 16)
-		b[off+3] = byte(val >> 24)
-		return string(b)
-	}
-
-	start := cfg{n.Start, 0, string(zero)}
-	seen := map[cfg]bool{start: true}
-	stack := []cfg{start}
-
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		if c.pos == len(doc) && n.Final[c.q] {
-			t := make(spans.Tuple)
-			valid := true
-			complete := true
-			for i, v := range n.Vars {
-				b := getMark(c.asg, 2*i)
-				e := getMark(c.asg, 2*i+1)
-				switch {
-				case b > 0 && e > 0:
-					t[v] = spans.S(b, e)
-				case b == 0 && e == 0:
-					complete = false
-				default:
-					valid = false
-				}
-			}
-			if valid && (!functional || complete) {
-				if !emit(t) {
-					return
-				}
-			}
-		}
-
-		push := func(nc cfg) {
-			if !seen[nc] {
-				seen[nc] = true
-				stack = append(stack, nc)
-			}
-		}
-		for _, r := range n.Eps[c.q] {
-			push(cfg{r, c.pos, c.asg})
-		}
-		if c.pos < len(doc) {
-			for _, r := range n.Letters[c.q][doc[c.pos]] {
-				push(cfg{r, c.pos + 1, c.asg})
-			}
-		}
-		for m, rs := range n.Markers[c.q] {
-			i := n.Vars.Index(m.Var)
-			if i < 0 {
-				continue
-			}
-			var idx int
-			if m.Close {
-				idx = 2*i + 1
-				if getMark(c.asg, 2*i) == 0 || getMark(c.asg, idx) != 0 {
-					continue
-				}
-			} else {
-				idx = 2 * i
-				if getMark(c.asg, idx) != 0 {
-					continue
-				}
-			}
-			nasg := setMark(c.asg, idx, c.pos+1)
-			for _, r := range rs {
-				push(cfg{r, c.pos, nasg})
-			}
-		}
-		for v, rs := range n.Refs[c.q] {
-			i := n.Vars.Index(v)
-			if i < 0 {
-				continue
-			}
-			b := getMark(c.asg, 2*i)
-			e := getMark(c.asg, 2*i+1)
-			if b == 0 || e == 0 {
-				continue // backward reference: span must be closed
-			}
-			l := e - b
-			if c.pos+l > len(doc) || !h.Eq(b-1, c.pos, l) {
-				continue
-			}
-			for _, r := range rs {
-				push(cfg{r, c.pos + l, c.asg})
-			}
-		}
-	}
+	return !s.Each(doc, false, nil, func(spans.Tuple) bool { return false })
 }
 
 // hasher returns the factor-equality structure: rolling hashes, or the
 // byte-by-byte baseline under NaiveCompare.
-func (s *Spanner) hasher(doc []byte) factorEq {
+func (s *Spanner) hasher(doc []byte) vset.FactorEq {
 	if s.NaiveCompare {
 		return naiveEq(doc)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"docspanner/internal/algebra"
+	"docspanner/internal/automata"
 	"docspanner/internal/regex"
 	"docspanner/internal/spans"
 	"docspanner/internal/vset"
@@ -118,6 +119,24 @@ func TestReflNonEmpty(t *testing.T) {
 	}
 	if s.NonEmpty([]byte("aab")) {
 		t.Error("odd document reported non-empty")
+	}
+}
+
+// TestEachYieldsATupleOnce: in the union of a refl-spanner with itself
+// every assignment is reached in two final states; Each yields it once.
+func TestEachYieldsATupleOnce(t *testing.T) {
+	s := mustSpanner(t, "(a|b)*!x{(a|b)+}(a|b)*&x(a|b)*", "ab")
+	twice, err := New(automata.Union(s.A, s.A))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte("abaabab")
+	want := s.Eval(doc, true)
+	got := spans.NewRelation()
+	n := 0
+	twice.Each(doc, true, nil, func(tu spans.Tuple) bool { n++; got.Add(tu); return true })
+	if want.Len() == 0 || n != want.Len() || !got.Equal(want) {
+		t.Errorf("%d tuples yielded, %v; want the %d of %v", n, got, want.Len(), want)
 	}
 }
 

@@ -253,20 +253,11 @@ func withContent(r *http.Request) bool {
 
 // evalSorted is the materializing path /eval and /batch share: enumerate
 // under ctx (a deadline is observed per tuple instead of only after the
-// whole evaluation), dedup, sort into the canonical order
-// (deterministic across runs and backends), and hand the result to use.
-// Plans whose enumeration is already duplicate-free collect straight
-// into a pooled slice — valid only until use returns; the rest dedup
-// through a relation exactly like Eval.
+// whole evaluation) into a pooled slice, sort it into the canonical order
+// (deterministic across runs and backends), and hand it to use — valid
+// only until use returns. Every plan enumerates each tuple once, so
+// nothing is deduplicated here.
 func evalSorted(ctx context.Context, q *docspanner.Query, d *storedDoc, use func(sorted []docspanner.Tuple)) error {
-	if !q.DistinctEnumeration() {
-		rel := docspanner.NewRelation()
-		if err := q.EnumerateSource(ctx, d.source(), func(t docspanner.Tuple) bool { rel.Add(t); return true }); err != nil {
-			return err
-		}
-		use(rel.Sorted())
-		return nil
-	}
 	tuples := getEvalBuf()
 	defer func() { putEvalBuf(tuples) }()
 	if err := q.EnumerateSource(ctx, d.source(), func(t docspanner.Tuple) bool { tuples = append(tuples, t); return true }); err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,9 +36,13 @@ func TestBatchObservesDeadlineInsideADocument(t *testing.T) {
 }
 
 // TestEvalObservesDeadlineInsideAMaterializingJoin: ?timeout= reaches the
-// operators of a plan with residual algebra. The query is the unselected
-// cross product of two 4,000-tuple scans — 16 M rows, over a second of
-// work, that used to be built in full before the deadline was looked at.
+// operators of a plan with residual algebra and the search of a
+// refl-spanner scan. The join is the unselected cross product of two
+// 4,000-tuple scans — 16 M rows, over a second of work, that used to be
+// built in full before the deadline was looked at. The refl scan (the
+// refl rewrite of a selection) compares every span of at least 20 letters
+// of a random text with every later span and matches none: seconds of
+// search without a tuple, that used to run to its end.
 func TestEvalObservesDeadlineInsideAMaterializingJoin(t *testing.T) {
 	s := newTestServer(t, Config{})
 	doc := make([]byte, 4000)
@@ -45,26 +50,67 @@ func TestEvalObservesDeadlineInsideAMaterializingJoin(t *testing.T) {
 		doc[i] = byte('a' + i*7%26)
 	}
 	do(t, s, "PUT", "/docs/d", string(doc))
-	code, _ := do(t, s, "PUT", "/queries/cross",
-		`{"src": "join(.*!x{[a-z]}.*; .*!y{[a-z]}.*)", "fail_on": "never", "plan": {"disable_rewrites": true}}`)
-	mustStatus(t, code, 200, "register the cross product")
-
-	const deadline = 20 * time.Millisecond
-	// The bound is on wall time: a stall of the host may cost one attempt.
-	var elapsed time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		start := time.Now()
-		code, body := do(t, s, "GET", "/eval?query=cross&doc=d&timeout=20ms", "")
-		elapsed = time.Since(start)
-		mustStatus(t, code, 504, "materializing join past its deadline")
-		if !strings.Contains(fmt.Sprint(body["error"]), "deadline") {
-			t.Fatalf("timeout error: %v", body)
+	rng := rand.New(rand.NewSource(1))
+	ab := make([]byte, 200)
+	for i := range ab {
+		ab[i] = "ab"[rng.Intn(2)]
+	}
+	do(t, s, "PUT", "/docs/ab", string(ab))
+	for _, c := range []struct{ query, spec, doc, backend string }{
+		{"cross", `{"src": "join(.*!x{[a-z]}.*; .*!y{[a-z]}.*)", "fail_on": "never", "plan": {"disable_rewrites": true}}`, "d", "materialize"},
+		{"refl", `{"src": "seleq(x,y; (a|b)*!x{(a|b){20,}}(a|b)*!y{(a|b)+}(a|b)*)", "fail_on": "never", "plan": {"refl_rewrite": true}}`, "ab", "refl-search"},
+	} {
+		code, _ := do(t, s, "PUT", "/queries/"+c.query, c.spec)
+		mustStatus(t, code, 200, "register "+c.query)
+		code, body := do(t, s, "GET", "/queries/"+c.query+"/explain", "")
+		mustStatus(t, code, 200, "explain "+c.query)
+		if !strings.Contains(fmt.Sprint(body["plan"]), c.backend) {
+			t.Fatalf("%s: no %s in the plan: %v", c.query, c.backend, body["plan"])
 		}
-		if elapsed < 10*deadline {
-			return
+
+		const deadline = 20 * time.Millisecond
+		// The bound is on wall time: a stall of the host may cost one attempt.
+		var elapsed time.Duration
+		for attempt := 0; attempt < 3; attempt++ {
+			start := time.Now()
+			code, body := do(t, s, "GET", "/eval?query="+c.query+"&doc="+c.doc+"&timeout=20ms", "")
+			elapsed = time.Since(start)
+			mustStatus(t, code, 504, c.query+" past its deadline")
+			if !strings.Contains(fmt.Sprint(body["error"]), "deadline") {
+				t.Fatalf("%s: timeout error: %v", c.query, body)
+			}
+			if elapsed < 10*deadline {
+				break
+			}
+		}
+		if elapsed >= 10*deadline {
+			t.Fatalf("%s: /eval noticed its %v deadline only after %v", c.query, deadline, elapsed)
 		}
 	}
-	t.Fatalf("/eval noticed its %v deadline only after %v", deadline, elapsed)
+}
+
+// TestEvalListsAReflTupleOnce: /eval of a refl-spanner scan lists every
+// tuple once, though two runs of the automaton — one per branch of
+// (b|b) — reach each assignment; the result equals the core plan's.
+func TestEvalListsAReflTupleOnce(t *testing.T) {
+	s := newTestServer(t, Config{})
+	do(t, s, "PUT", "/docs/d", "aabaab")
+	const src = `seleq(x,y; (a|b)*!x{a+}(b|b)!y{a+}(a|b)*)`
+	tuples := map[string][]any{}
+	for name, plan := range map[string]string{"refl": `{"refl_rewrite": true}`, "core": `{}`} {
+		code, _ := do(t, s, "PUT", "/queries/"+name, `{"src": "`+src+`", "fail_on": "never", "plan": `+plan+`}`)
+		mustStatus(t, code, 200, "register "+name)
+		code, body := do(t, s, "GET", "/eval?query="+name+"&doc=d", "")
+		mustStatus(t, code, 200, "eval "+name)
+		tuples[name], _ = body["tuples"].([]any)
+	}
+	if _, body := do(t, s, "GET", "/queries/refl/explain", ""); !strings.Contains(fmt.Sprint(body["plan"]), "refl-search") {
+		t.Fatalf("no refl scan in the plan: %v", body["plan"])
+	}
+	refl, core := fmt.Sprint(tuples["refl"]), fmt.Sprint(tuples["core"])
+	if len(tuples["refl"]) != 2 || refl != core {
+		t.Fatalf("refl /eval lists %d tuples %s, want the core plan's 2: %s", len(tuples["refl"]), refl, core)
+	}
 }
 
 // TestRenderErrorCountsA504Once: however a deadline reaches the

@@ -10,6 +10,8 @@ package vset
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"docspanner/internal/automata"
@@ -29,111 +31,199 @@ const (
 	Schemaless
 )
 
-// Eval computes the span relation ⟦M⟧(doc) by a breadth-first search over
-// configurations (state, position, partial assignment). This is the
-// reference ("naive") evaluation: correct for every valid vset-automaton,
-// polynomial in |doc| for a fixed automaton, with output-sensitive cost in
-// the number of result tuples. The enumeration package provides the
+// Eval materializes ⟦M⟧(doc) through Search. It is the reference
+// ("naive") evaluation: correct for every valid vset-automaton, polynomial
+// in |doc| for a fixed automaton. The enumeration package provides the
 // linear-preprocessing/constant-delay alternative of Section 2.5.
 func Eval(n *automata.NFA, doc []byte, sem Semantics) *spans.Relation {
 	if n.HasRefs() {
 		panic("vset: Eval on an automaton with reference transitions; use package refl")
 	}
-	k := len(n.Vars)
-	type cfg struct {
-		q   int
-		pos int
-		asg string // 2k little-endian uint32 begin/end marks; 0 = unset
-	}
-	zero := make([]byte, 8*k)
-	encode := func(b []byte) string { return string(b) }
-
-	setMark := func(asg string, idx int, val int) string {
-		b := []byte(asg)
-		off := idx * 4
-		b[off] = byte(val)
-		b[off+1] = byte(val >> 8)
-		b[off+2] = byte(val >> 16)
-		b[off+3] = byte(val >> 24)
-		return encode(b)
-	}
-	getMark := func(asg string, idx int) int {
-		off := idx * 4
-		return int(asg[off]) | int(asg[off+1])<<8 | int(asg[off+2])<<16 | int(asg[off+3])<<24
-	}
-
-	start := cfg{n.Start, 0, encode(zero)}
-	seen := map[cfg]bool{start: true}
-	queue := []cfg{start}
 	out := spans.NewRelation()
+	Search(n, doc, sem, nil, nil, func(t spans.Tuple) bool { out.Add(t); return true })
+	return out
+}
 
-	push := func(c cfg, queueRef *[]cfg) {
-		if !seen[c] {
-			seen[c] = true
-			*queueRef = append(*queueRef, c)
-		}
+// FactorEq answers the factor-equality queries doc[i:i+l] == doc[j:j+l]
+// (0-based offsets) that reference transitions ask.
+type FactorEq interface {
+	Eq(i, j, l int) bool
+}
+
+// Search emits the tuples of ⟦M⟧(doc), each once, by a depth-first search
+// over the configurations (state, position, assignment) of the automaton
+// on doc. Letters advance the position, a marker sets its begin or end
+// mark to the current boundary, and a reference to x — for the
+// refl-spanners of Section 3, which pass their string structure as eq (nil
+// for ref-free automata) — reads the factor equal to x's content, checked
+// by one eq query. An accepting configuration at |doc| moves to a sink
+// configuration holding only its assignment: the visited set admits that
+// one once, so a tuple reached by several runs is emitted once. poll (nil
+// for none) is called once every spans.PollEvery expanded configurations.
+// Search returns whether it explored every configuration: false when poll
+// or emit stopped it.
+func Search(n *automata.NFA, doc []byte, sem Semantics, eq FactorEq, poll func() bool, emit func(spans.Tuple) bool) (complete bool) {
+	if eq == nil && n.HasRefs() {
+		panic("vset: Search on an automaton with reference transitions needs a factor-equality structure")
 	}
-
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-
-		if c.pos == len(doc) && n.Final[c.q] {
-			t := make(spans.Tuple)
-			complete := true
-			for i, v := range n.Vars {
-				b := getMark(c.asg, 2*i)
-				e := getMark(c.asg, 2*i+1)
-				switch {
-				case b > 0 && e > 0:
-					t[v] = spans.S(b, e)
-				case b == 0 && e == 0:
-					complete = false
-				default:
-					complete = false // half-open assignment: invalid word
-					t = nil
-				}
-				if t == nil {
-					break
-				}
+	k := len(n.Vars)
+	sink := int32(n.NumStates())
+	end := int32(len(doc))
+	cs := newConfigs(2 + 2*k)
+	cur := make([]int32, cs.w) // the configuration being expanded
+	next := make([]int32, cs.w)
+	step := func(r int, pos int32) {
+		copy(next, cur)
+		next[0], next[1] = int32(r), pos
+		cs.visit(next)
+	}
+	cur[0] = int32(n.Start)
+	cs.visit(cur)
+	for pops := 1; len(cs.stack) > 0; pops++ {
+		if pops%spans.PollEvery == 0 && poll != nil && !poll() {
+			return false
+		}
+		cs.pop(cur)
+		q, pos, marks := cur[0], cur[1], cur[2:]
+		if q == sink {
+			if !emit(tupleOf(n.Vars, marks)) {
+				return false
 			}
-			if t != nil && (sem == Schemaless || complete) {
-				out.Add(t)
+			continue
+		}
+		if pos == end && n.Final[q] && accepts(marks, sem) {
+			step(int(sink), end)
+		}
+		for _, r := range n.Eps[q] {
+			step(r, pos)
+		}
+		if pos < end {
+			for _, r := range n.Letters[q][doc[pos]] {
+				step(r, pos+1)
 			}
 		}
-
-		for _, r := range n.Eps[c.q] {
-			push(cfg{r, c.pos, c.asg}, &queue)
-		}
-		if c.pos < len(doc) {
-			for _, r := range n.Letters[c.q][doc[c.pos]] {
-				push(cfg{r, c.pos + 1, c.asg}, &queue)
-			}
-		}
-		for m, rs := range n.Markers[c.q] {
-			i := n.Vars.Index(m.Var)
+		for m, rs := range n.Markers[q] {
+			i := 2 * n.Vars.Index(m.Var)
 			if i < 0 {
 				continue
 			}
-			var idx int
 			if m.Close {
-				idx = 2*i + 1
-				if getMark(c.asg, 2*i) == 0 || getMark(c.asg, idx) != 0 {
+				if marks[i] == 0 || marks[i+1] != 0 {
 					continue // close before open, or duplicate close
 				}
-			} else {
-				idx = 2 * i
-				if getMark(c.asg, idx) != 0 {
-					continue // duplicate open
-				}
+				i++
+			} else if marks[i] != 0 {
+				continue // duplicate open
 			}
-			nasg := setMark(c.asg, idx, c.pos+1)
+			marks[i] = pos + 1
 			for _, r := range rs {
-				push(cfg{r, c.pos, nasg}, &queue)
+				step(r, pos)
+			}
+			marks[i] = 0
+		}
+		for v, rs := range n.Refs[q] {
+			i := 2 * n.Vars.Index(v)
+			if i < 0 {
+				continue
+			}
+			b, e := marks[i], marks[i+1]
+			if e == 0 {
+				continue // backward reference: the span must be closed
+			}
+			l := e - b
+			if pos+l > end || !eq.Eq(int(b-1), int(pos), int(l)) {
+				continue
+			}
+			for _, r := range rs {
+				step(r, pos+l)
 			}
 		}
 	}
-	return out
+	return true
+}
+
+// accepts reports whether an assignment at an accepting configuration
+// makes a tuple: no span is left open, and under functional semantics
+// every variable is assigned.
+func accepts(marks []int32, sem Semantics) bool {
+	for i := 0; i < len(marks); i += 2 {
+		if (marks[i] == 0) != (marks[i+1] == 0) || (sem == Functional && marks[i] == 0) {
+			return false
+		}
+	}
+	return true
+}
+
+func tupleOf(vars spans.VarSet, marks []int32) spans.Tuple {
+	t := make(spans.Tuple, len(vars))
+	for i, v := range vars {
+		if b := marks[2*i]; b != 0 {
+			t[v] = spans.S(int(b), int(marks[2*i+1]))
+		}
+	}
+	return t
+}
+
+// configs holds the configurations a search has reached: one slab of w
+// int32s each (state, position, then the 2k begin/end marks as 1-based
+// boundaries, 0 for unset), an open-addressing set over their indices,
+// and the stack of those not yet expanded.
+type configs struct {
+	w     int
+	slab  []int32
+	slots []int32 // configuration index + 1; 0 is free
+	stack []int32
+}
+
+func newConfigs(w int) *configs {
+	return &configs{w: w, slots: make([]int32, 64)}
+}
+
+func (cs *configs) at(i int32) []int32 {
+	return cs.slab[int(i)*cs.w : int(i+1)*cs.w]
+}
+
+// visit adds a copy of c to the stack unless c was reached before.
+func (cs *configs) visit(c []int32) {
+	mask := uint64(len(cs.slots) - 1)
+	i := hashConfig(c) & mask
+	for ; cs.slots[i] != 0; i = (i + 1) & mask {
+		if slices.Equal(cs.at(cs.slots[i]-1), c) {
+			return
+		}
+	}
+	id := int32(len(cs.slab) / cs.w)
+	cs.slab = append(cs.slab, c...)
+	cs.slots[i] = id + 1
+	cs.stack = append(cs.stack, id)
+	if n := int(id) + 1; 2*n > len(cs.slots) {
+		cs.slots = make([]int32, 2*len(cs.slots))
+		mask = uint64(len(cs.slots) - 1)
+		for j := int32(0); int(j) < n; j++ {
+			i := hashConfig(cs.at(j)) & mask
+			for cs.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			cs.slots[i] = j + 1
+		}
+	}
+}
+
+// pop copies the configuration on top of the stack into c and removes it.
+func (cs *configs) pop(c []int32) {
+	top := len(cs.stack) - 1
+	copy(c, cs.at(cs.stack[top]))
+	cs.stack = cs.stack[:top]
+}
+
+func hashConfig(c []int32) uint64 {
+	var h uint64
+	for _, x := range c {
+		h = (bits.RotateLeft64(h, 5) ^ uint64(uint32(x))) * 0x517cc1b727220a95
+	}
+	// The multiplication leaves the low bits, which index the table, the
+	// least mixed: fold the high half onto them.
+	return h ^ h>>32
 }
 
 // AcceptsMarked decides whether the NFA accepts the subword-marked word

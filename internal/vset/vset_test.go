@@ -1,6 +1,7 @@
 package vset
 
 import (
+	"strings"
 	"testing"
 
 	"docspanner/internal/automata"
@@ -64,6 +65,47 @@ func TestEvalSchemaless(t *testing.T) {
 	gf := Eval(a, []byte("b"), Functional)
 	if gf.Len() != 0 {
 		t.Errorf("functional Eval = %v", gf)
+	}
+}
+
+// TestSearchEmitsEachTupleOnce: in the union of a spanner with itself
+// every assignment is reached in two final states; Search emits it once.
+func TestSearchEmitsEachTupleOnce(t *testing.T) {
+	a := compile(t, "(a|b)*!x{a(a|b)*}(!y{b}|c)(a|b)*")
+	twice := automata.Union(a, a)
+	doc := []byte("abab")
+	for _, sem := range []Semantics{Functional, Schemaless} {
+		want := Eval(a, doc, sem)
+		got := spans.NewRelation()
+		emitted := 0
+		if !Search(twice, doc, sem, nil, nil, func(tu spans.Tuple) bool { emitted++; got.Add(tu); return true }) {
+			t.Fatalf("semantics %d: Search stopped without being asked to", sem)
+		}
+		if emitted != want.Len() || !got.Equal(want) {
+			t.Errorf("semantics %d: %d tuples emitted, %v; want the %d of %v", sem, emitted, got, want.Len(), want)
+		}
+	}
+}
+
+// TestSearchStops: Search polls once every spans.PollEvery configurations
+// and stops, reporting false, when poll or emit says so.
+func TestSearchStops(t *testing.T) {
+	a := compile(t, "(a|b)*!x{(a|b)*}(a|b)*")
+	doc := []byte(strings.Repeat("ab", 20))
+	all := 0
+	if !Search(a, doc, Functional, nil, func() bool { return true }, func(spans.Tuple) bool { all++; return true }) {
+		t.Fatal("an unstopped Search reported false")
+	}
+	polls, emitted := 0, 0
+	if Search(a, doc, Functional, nil, func() bool { polls++; return polls < 3 }, func(spans.Tuple) bool { emitted++; return true }) {
+		t.Fatal("Search ignored its poll")
+	}
+	if polls != 3 || emitted >= all {
+		t.Errorf("stopped at poll %d after %d of %d tuples", polls, emitted, all)
+	}
+	emitted = 0
+	if Search(a, doc, Functional, nil, nil, func(spans.Tuple) bool { emitted++; return emitted < 5 }) || emitted != 5 {
+		t.Errorf("emit stopped the search after %d tuples", emitted)
 	}
 }
 

@@ -276,8 +276,9 @@ func Compressed(d *Document, text func() []byte) Source { return plan.SLP(d.Node
 // root before its first tuple; its operators make the same poll once
 // every 1024 rows they read or emit, so a deadline that falls inside a
 // join is observed there, no tuple is delivered, and the context's error
-// is returned. What is not interruptible is one leaf's own search on the
-// reference backends (NaiveBackend, refl-spanner scans). A nil ctx
+// is returned. The configuration search of a naive or refl-spanner scan
+// makes the same poll once every 1024 configurations it expands, so a
+// search that finds no tuple for a long while stops there too. A nil ctx
 // behaves like context.Background().
 func (q *Query) EnumerateSource(ctx context.Context, src Source, f func(t Tuple) bool) error {
 	if ctx == nil {
@@ -360,11 +361,6 @@ func (q *Query) CountContext(ctx context.Context, doc []byte) (int, error) {
 // incrementally (the plan's root is a streaming operator) rather than
 // materializing the full relation first.
 func (q *Query) Streaming() bool { return q.plan().Streaming() }
-
-// DistinctEnumeration reports whether Enumerate delivers every result
-// tuple exactly once. When true, callers collecting the output can skip
-// relation-level deduplication.
-func (q *Query) DistinctEnumeration() bool { return q.plan().DistinctEnumeration() }
 
 // Explain renders the query's execution plan: the rewritten logical
 // shape, the physical backend per node, and the rewrite provenance each

@@ -6,7 +6,6 @@ import (
 	"iter"
 
 	"docspanner/internal/automata"
-	"docspanner/internal/refl"
 )
 
 // spannerJSON is the stable on-disk form of a compiled spanner.
@@ -41,19 +40,7 @@ func LoadSpanner(data []byte) (*Spanner, error) {
 	if in.Automaton == nil {
 		return nil, fmt.Errorf("docspanner: missing automaton")
 	}
-	s := &Spanner{pattern: in.Pattern, nfa: in.Automaton, schemaless: in.Schemaless}
-	if in.Automaton.HasRefs() {
-		rs, err := refl.New(in.Automaton)
-		if err != nil {
-			return nil, err
-		}
-		s.rspanner = rs
-		return s, nil
-	}
-	if err := in.Automaton.Validate(!in.Schemaless); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newSpanner(&Spanner{pattern: in.Pattern, nfa: in.Automaton, schemaless: in.Schemaless})
 }
 
 // Dot renders the spanner's automaton in Graphviz DOT format.

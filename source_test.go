@@ -123,8 +123,8 @@ func TestOnePathOverEverySource(t *testing.T) {
 				if err != nil || delivered != stopAt {
 					fail("Enumerate stopped after %d tuples (err %v), want %d", delivered, err, stopAt)
 				}
-				if sh.q.DistinctEnumeration() && seen.Len() != delivered {
-					fail("distinct enumeration repeated a tuple: %d delivered, %d distinct", delivered, seen.Len())
+				if seen.Len() != delivered {
+					fail("Enumerate repeated a tuple: %d delivered, %d distinct", delivered, seen.Len())
 				}
 
 				if n, err := sh.q.CountSource(ctx, src); err != nil || n != want.Len() {
@@ -154,56 +154,80 @@ func TestOnePathOverEverySource(t *testing.T) {
 }
 
 // TestDeadlineInsideAMaterializingJoin: a deadline that falls while a
-// materializing operator is still building its relation is observed there
-// — not once the relation exists — and no tuple is delivered. The join is
-// the unselected cross product of two 4,000-tuple scans: 16 M rows, well
-// over a second of work at the ~10 M rows/s the join emits, and never built.
+// materializing operator is still building its relation, or while a
+// leaf's configuration search has found nothing yet, is observed there —
+// not once the relation exists — and no tuple is delivered. The rows:
+//   - the unselected cross product of two 4,000-tuple scans: 16 M rows,
+//     well over a second of work at the ~10 M rows/s the join emits, and
+//     never built;
+//   - the same join over NaiveBackend leaves, whose searches carry each
+//     of the 4,000 spans through every later position;
+//   - a refl-spanner scan (the refl rewrite of a selection) that compares
+//     every span of at least 20 letters with every later span of a
+//     random text and matches none: seconds of search without a tuple.
 func TestDeadlineInsideAMaterializingJoin(t *testing.T) {
-	opts := Options{Alphabet: []byte("abcdefghijklmnopqrstuvwxyz")}
-	q := MustQ(MustCompile(".*!x{[a-z]}.*", opts)).Join(MustQ(MustCompile(".*!y{[a-z]}.*", opts))).
-		WithPlan(PlanOptions{DisableRewrites: true})
-	if q.Streaming() {
-		t.Fatalf("the join does not materialize:\n%s", q.Explain())
-	}
+	az := Options{Alphabet: []byte("abcdefghijklmnopqrstuvwxyz")}
+	cross := MustQ(MustCompile(".*!x{[a-z]}.*", az)).Join(MustQ(MustCompile(".*!y{[a-z]}.*", az)))
 	rng := rand.New(rand.NewSource(1))
-	doc := make([]byte, 4000)
-	for i := range doc {
-		doc[i] = byte('a' + rng.Intn(26))
+	text := func(n int, alphabet string) []byte {
+		doc := make([]byte, n)
+		for i := range doc {
+			doc[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return doc
+	}
+	rows := []struct {
+		name    string
+		q       *Query
+		explain string // must appear in the plan: the row is what it claims
+		doc     []byte
+	}{
+		{"join", cross.WithPlan(PlanOptions{DisableRewrites: true}), "materialize", text(4000, "abcdefghijklmnopqrstuvwxyz")},
+		{"join over naive leaves", cross.WithPlan(PlanOptions{DisableRewrites: true, NaiveBackend: true}), "nfa-search",
+			text(4000, "abcdefghijklmnopqrstuvwxyz")},
+		{"refl leaf", abQuery(t, ".*!x{(a|b){20,}}.*!y{(a|b)+}.*").SelectEqual("x", "y").WithPlan(PlanOptions{ReflRewrite: true}),
+			"refl-search", text(200, "ab")},
 	}
 	const deadline = 20 * time.Millisecond
-	verbs := map[string]func(ctx context.Context) error{
-		"EnumerateSource": func(ctx context.Context) error {
-			return q.EnumerateSource(ctx, Text(doc), func(Tuple) bool {
-				t.Error("a tuple was delivered: the join was not stopped inside")
-				return false
-			})
-		},
-		"CountSource": func(ctx context.Context) error {
-			n, err := q.CountSource(ctx, Text(doc))
-			if n != 0 {
-				t.Errorf("a stopped operator has no partial relation, the count is %d", n)
-			}
-			return err
-		},
-	}
-	for name, verb := range verbs {
-		// The bound is on wall time: a stall of the host may cost one attempt.
-		var elapsed time.Duration
-		for attempt := 0; attempt < 3; attempt++ {
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			start := time.Now()
-			err := verb(ctx)
-			elapsed = time.Since(start)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("%s under a %v deadline: err %v after %v", name, deadline, err, elapsed)
-			}
-			if elapsed < 10*deadline {
-				break
-			}
+	for _, row := range rows {
+		if !strings.Contains(row.q.Explain(), row.explain) {
+			t.Fatalf("%s: plan is not that shape:\n%s", row.name, row.q.Explain())
 		}
-		if elapsed >= 10*deadline {
-			t.Errorf("%s noticed its %v deadline only after %v", name, deadline, elapsed)
+		q, doc := row.q, row.doc
+		verbs := map[string]func(ctx context.Context) error{
+			"EnumerateSource": func(ctx context.Context) error {
+				return q.EnumerateSource(ctx, Text(doc), func(Tuple) bool {
+					t.Errorf("%s: a tuple was delivered: the evaluation was not stopped inside", row.name)
+					return false
+				})
+			},
+			"CountSource": func(ctx context.Context) error {
+				n, err := q.CountSource(ctx, Text(doc))
+				if n != 0 {
+					t.Errorf("%s: a stopped evaluation has no partial relation, the count is %d", row.name, n)
+				}
+				return err
+			},
+		}
+		for name, verb := range verbs {
+			// The bound is on wall time: a stall of the host may cost one attempt.
+			var elapsed time.Duration
+			for attempt := 0; attempt < 3; attempt++ {
+				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				start := time.Now()
+				err := verb(ctx)
+				elapsed = time.Since(start)
+				cancel()
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s: %s under a %v deadline: err %v after %v", row.name, name, deadline, err, elapsed)
+				}
+				if elapsed < 10*deadline {
+					break
+				}
+			}
+			if elapsed >= 10*deadline {
+				t.Errorf("%s: %s noticed its %v deadline only after %v", row.name, name, deadline, elapsed)
+			}
 		}
 	}
 }
