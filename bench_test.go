@@ -964,7 +964,7 @@ func BenchmarkE17Planner(b *testing.B) {
 		// branch, which runs constant-delay instead of two naive scans.
 		{"dedup-union/n=2^10", q(".*!x{a+}.*").Union(q(".*!x{aa*}.*")), randomDoc(1<<10, 41), eval},
 		// Provably empty join (x must be "ab" and "ba" at the same span):
-		// the SP003 lint prune rewrites the whole plan to ∅.
+		// fusion yields an empty-language scan, which prune rewrites to ∅.
 		{"dead-join/n=2^10", q(".*!x{ab}.*").Join(q(".*!x{ba}.*")), randomDoc(1<<10, 42), eval},
 		// Projection pushdown drops j below the join, which then fuses to
 		// one scan instead of building the {x, j} × {x} intermediate.

@@ -300,11 +300,6 @@ func emptyNode(p *Plan, msg string) *Plan {
 	return np
 }
 
-// EmptyFor replaces p by a provably empty plan with the same schema,
-// recording msg as the rewrite that justified the prune. Exported for
-// the planner's lint-driven pruning.
-func EmptyFor(p *Plan, msg string) *Plan { return emptyNode(p, msg) }
-
 // DedupUnions drops a union branch that provably duplicates its sibling
 // (spanlint's SP008). Structurally identical branches (same automata by
 // pointer, same shape) are equal under any semantics; scan branches are

@@ -115,6 +115,14 @@ func TestDiagnosticCodes(t *testing.T) {
 			code: lint.CodeDegenerateJoin,
 		},
 		{
+			name: "SP003 silent on a join whose operand may leave the shared variable unassigned",
+			build: func(t *testing.T) algebra.Expr {
+				// Schemaless, the b-branch's tuple joins with v's binding.
+				return algebra.Join{L: pat(t, "(!v{a}|b)"), R: pat(t, "!v{b}")}
+			},
+			code: lint.CodeDegenerateJoin,
+		},
+		{
 			name: "SP003 silent on a cartesian join related by an enclosing selection",
 			build: func(t *testing.T) algebra.Expr {
 				return algebra.SelectEq{
@@ -175,6 +183,20 @@ func TestDiagnosticCodes(t *testing.T) {
 				}
 			},
 			code: lint.CodeDegenerateSel, sev: lint.Error, want: true, wantPos: "$",
+		},
+		{
+			name: "SP005 silent when a union leaves a join variable unassigned",
+			build: func(t *testing.T) algebra.Expr {
+				// The !y{b} branch joins with !x{b}, binding x and y.
+				return algebra.SelectEq{
+					Sub: algebra.Join{
+						L: algebra.Union{L: pat(t, "!y{b}"), R: pat(t, "!x{b}")},
+						R: pat(t, "!x{b}"),
+					},
+					Z: vs("x", "y"),
+				}
+			},
+			code: lint.CodeDegenerateSel,
 		},
 		{
 			name: "SP005 triggers on provably always-equal spans (no-op)",

@@ -13,11 +13,14 @@ import (
 
 // Expr runs every applicable pass over a core-spanner algebra expression
 // and returns the findings sorted by position and code. The schemaless
-// flag selects the result semantics the expression will be evaluated
-// under; it currently only affects message wording, because every check
-// performed here is sound under both semantics.
+// flag names the result semantics the expression will be evaluated
+// under, but no check depends on it: every Error finding is sound under
+// both semantics (the flagged subexpression evaluates to the empty
+// relation on every document), because a check whose soundness would
+// differ — a join whose operands may leave a shared variable unassigned
+// — is skipped under both.
 func Expr(e algebra.Expr, schemaless bool) []Diagnostic {
-	r := &runner{schemaless: schemaless}
+	r := &runner{}
 	ri := r.walk(e, "$", false, nil)
 	r.checkHierarchical(ri)
 	sortDiags(r.diags)
@@ -49,8 +52,7 @@ func Refl(rs *refl.Spanner) []Diagnostic {
 // runner accumulates diagnostics over one analysis. All state is per-call:
 // a shared expression or spanner may be linted from several goroutines.
 type runner struct {
-	schemaless bool
-	diags      []Diagnostic
+	diags []Diagnostic
 }
 
 func (r *runner) report(code string, sev Severity, pos, msg, hint string) {
@@ -151,7 +153,15 @@ func (r *runner) walkJoin(m algebra.Join, pos string, selZ []spans.VarSet) info 
 			fmt.Sprintf("join operands share no variables (%v vs %v): the natural join degenerates to a cartesian product", l.vars, rr.vars),
 			"if the cross product is intended, say so in a comment; otherwise check the variable names")
 	}
-	if l.auto != nil && rr.auto != nil {
+	// The synchronized product captures exactly the joinable pairs only
+	// when both operands bind every shared variable on every run. An
+	// operand that can leave one unassigned — a union of different
+	// schemas, or any operand under schemaless semantics — joins with
+	// every binding of it on the other side, which the product drops;
+	// the join's automaton and satisfiability are then unknown.
+	synced := l.auto != nil && rr.auto != nil &&
+		vset.AllBound(l.auto, shared) && vset.AllBound(rr.auto, shared)
+	if synced {
 		la, ra := l.auto, rr.auto
 		if len(shared) > 0 {
 			// Present consecutive shared markers in one canonical order so

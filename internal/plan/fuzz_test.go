@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"docspanner/internal/algebra"
+	"docspanner/internal/lint"
 	"docspanner/internal/slp"
 	"docspanner/internal/vset"
 )
@@ -98,17 +100,52 @@ func finishExpr(stack []algebra.Expr) algebra.Expr {
 	return stack[len(stack)-1]
 }
 
+// subExprAt resolves a spanlint position path ("$", "$.L", "$.R",
+// "$.Sub", ...) to the subexpression it names, or nil when the path
+// does not fit the tree.
+func subExprAt(e algebra.Expr, pos string) algebra.Expr {
+	segs := strings.Split(pos, ".")
+	if segs[0] != "$" {
+		return nil
+	}
+	for _, seg := range segs[1:] {
+		switch m := e.(type) {
+		case algebra.Union:
+			e = map[string]algebra.Expr{"L": m.L, "R": m.R}[seg]
+		case algebra.Join:
+			e = map[string]algebra.Expr{"L": m.L, "R": m.R}[seg]
+		case algebra.Project:
+			e = map[string]algebra.Expr{"Sub": m.Sub}[seg]
+		case algebra.SelectEq:
+			e = map[string]algebra.Expr{"Sub": m.Sub}[seg]
+		default:
+			return nil
+		}
+		if e == nil {
+			return nil
+		}
+	}
+	return e
+}
+
 // FuzzPlanRewrite cross-validates the whole rewrite pipeline: for every
 // fuzz input — decoded into a random algebra expression and a random
 // document over {a,b} — the fully rewritten plan (with and without the
 // refl rewrite) and the compressed backend must agree exactly with the
-// naive bottom-up evaluation, under both semantics.
+// naive bottom-up evaluation, under both semantics. It also checks that
+// spanlint's Error findings are sound: every subexpression they call
+// provably empty evaluates to ∅ on the document.
 func FuzzPlanRewrite(f *testing.F) {
 	f.Add([]byte{0, 6, 1, 5, 97, 98, 97})       // union of two prims on "aba"
 	f.Add([]byte{0, 12, 2, 3, 5, 97, 97})       // projected join on "aa"
 	f.Add([]byte{18, 4, 5, 97, 97, 98, 97, 97}) // selection chain on "aabaa"
 	f.Add([]byte{0, 0, 1, 6, 1, 5, 98, 97})     // duplicate branches on "ba"
 	f.Add([]byte{24, 30, 2, 36, 1, 4, 5, 97})   // mixed tree on "a"
+	// Joins where an operand can leave the shared x unassigned, on "b":
+	// seleq(x,y; join(union(!y{b+}; !x{a+}); (a|b)*!x{(a|b)})), and,
+	// schemaless, join((!x{a}|b); join((a|b)*!x{(a|b)}; !y{b+})).
+	f.Add([]byte{24, 0, 1, 36, 2, 4, 5, 97})
+	f.Add([]byte{6, 36, 24, 2, 2, 5, 97})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			return
@@ -130,6 +167,19 @@ func FuzzPlanRewrite(f *testing.F) {
 				sem = vset.Schemaless
 			}
 			want := expr.Eval(doc, sem)
+			for _, d := range lint.Expr(expr, schemaless) {
+				if d.Severity != lint.Error {
+					continue
+				}
+				sub := subExprAt(expr, d.Pos)
+				if sub == nil {
+					t.Fatalf("expr %s: %v names no subexpression", algebra.String(expr), d)
+				}
+				if got := sub.Eval(doc, sem); got.Len() != 0 {
+					t.Fatalf("expr %s doc %q schemaless=%v: %v, but %s evaluates to %v",
+						algebra.String(expr), doc, schemaless, d, algebra.String(sub), got)
+				}
+			}
 			for _, opts := range []Options{
 				{Schemaless: schemaless},
 				{Schemaless: schemaless, ReflRewrite: true},

@@ -1,10 +1,10 @@
 // Package plan is the query planner behind the facade's evaluation
 // entry points: it lowers a core-spanner algebra expression into a
 // logical plan (package algebra's Plan IR), runs the rewrite passes —
-// lint-driven dead-subtree pruning and duplicate-union elimination,
-// selection/projection pushdown, no-op selection removal, the opt-in
-// core→refl rewrite, and the executable core-simplification lemma
-// (operator fusion into single vset-automata) — and then selects a
+// empty-subtree pruning, duplicate-union elimination, selection/
+// projection pushdown, no-op selection removal, the opt-in core→refl
+// rewrite, and the executable core-simplification lemma (operator
+// fusion into single vset-automata) — and then selects a
 // physical backend per (sub)plan: constant-delay enumeration over the
 // determinized automaton, the materializing relational evaluation, or
 // compressed slpmatch evaluation when the input is an SLP document.
@@ -19,13 +19,10 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"docspanner/internal/algebra"
-	"docspanner/internal/lint"
 	"docspanner/internal/refl"
 	"docspanner/internal/spans"
-	"docspanner/internal/vset"
 )
 
 // Options configures planning. The zero value gives the default
@@ -89,7 +86,7 @@ func New(e algebra.Expr, opts Options) *Planned {
 	lp := algebra.FromExpr(e)
 	var notes []string
 	if !opts.DisableRewrites {
-		lp, notes = rewrite(lp, e, opts)
+		lp, notes = rewrite(lp, opts)
 	}
 	return &Planned{
 		logical:      lp,
@@ -115,7 +112,7 @@ func NewExternal(ext algebra.ExternalSpanner, opts Options) *Planned {
 
 // rewrite runs the logical pass pipeline and reports which passes
 // changed the plan.
-func rewrite(lp *algebra.Plan, e algebra.Expr, opts Options) (*algebra.Plan, []string) {
+func rewrite(lp *algebra.Plan, opts Options) (*algebra.Plan, []string) {
 	pol := opts.policy()
 	bc := algebra.NewBoundCache()
 	var applied []string
@@ -127,13 +124,6 @@ func rewrite(lp *algebra.Plan, e algebra.Expr, opts Options) (*algebra.Plan, []s
 		}
 	}
 
-	// Dead-subtree pruning and duplicate-union elimination, driven by
-	// the spanlint analyses over the original expression (the plan still
-	// mirrors it, so diagnostic paths resolve 1:1). A lone scan skips
-	// the lint run: PruneEmpty already covers the only useful finding.
-	if _, lone := e.(algebra.Prim); !lone {
-		step("lint-prune", func(p *algebra.Plan) *algebra.Plan { return applyLint(p, e, opts, pol, bc) })
-	}
 	step("prune", algebra.PruneEmpty)
 	step("dedup-union", func(p *algebra.Plan) *algebra.Plan { return algebra.DedupUnions(p, pol) })
 	step("selection-pushdown", algebra.PushDownSelections)
@@ -150,136 +140,6 @@ func rewrite(lp *algebra.Plan, e algebra.Expr, opts Options) (*algebra.Plan, []s
 	step("prune", algebra.PruneEmpty)
 	step("core-simplify", func(p *algebra.Plan) *algebra.Plan { return algebra.FuseRegular(p, pol) })
 	return lp, applied
-}
-
-// applyLint maps spanlint diagnostics onto plan nodes (the Pos path
-// follows the same "$", "$.L", "$.R", "$.Sub" convention) and applies
-// the rewrites they license. Only provably sound prunes run; findings
-// whose guard fails are left for the evaluation to handle.
-func applyLint(lp *algebra.Plan, e algebra.Expr, opts Options, pol algebra.FusePolicy, bc algebra.BoundCache) *algebra.Plan {
-	diags := lint.Expr(e, opts.Schemaless)
-	for _, d := range diags {
-		lp = applyDiag(lp, d, opts, pol, bc)
-	}
-	return lp
-}
-
-func applyDiag(lp *algebra.Plan, d lint.Diagnostic, opts Options, pol algebra.FusePolicy, bc algebra.BoundCache) *algebra.Plan {
-	node := locate(lp, d.Pos)
-	if node == nil {
-		return lp
-	}
-	replace := func(f func(*algebra.Plan) *algebra.Plan) {
-		lp = replaceAt(lp, d.Pos, f)
-	}
-	switch {
-	case d.Code == "SP001" && d.Severity == lint.Error && node.Kind == algebra.PScan:
-		replace(func(n *algebra.Plan) *algebra.Plan {
-			return algebra.EmptyFor(n, "prune: scan is unsatisfiable (lint SP001)")
-		})
-
-	case d.Code == "SP003" && d.Severity == lint.Error && node.Kind == algebra.PJoin:
-		// The lint product-automaton emptiness transfers to the
-		// relational join only when the synchronized product captures
-		// every joinable pair: immediate for functional scans (totality
-		// binds the shared variables on both sides), and needing
-		// always-bound shared variables under the schemaless semantics.
-		l, r := node.Children[0], node.Children[1]
-		if l.Kind != algebra.PScan || r.Kind != algebra.PScan || l.Auto.HasRefs() || r.Auto.HasRefs() {
-			break
-		}
-		shared := l.Auto.Vars.Intersect(r.Auto.Vars)
-		if opts.Schemaless && !(bc.AllBound(l.Auto, shared) && bc.AllBound(r.Auto, shared)) {
-			break
-		}
-		replace(func(n *algebra.Plan) *algebra.Plan {
-			return algebra.EmptyFor(n, "prune: join is provably empty (lint SP003)")
-		})
-
-	case d.Code == "SP005" && d.Severity == lint.Error && node.Kind == algebra.PSelect:
-		z := node.Z
-		child := node.Children[0]
-		unbound := len(z.Minus(child.Vars())) > 0
-		provable := unbound ||
-			(child.Kind == algebra.PScan && !child.Auto.HasRefs() && !vset.JointlyBindable(child.Auto, z))
-		if provable {
-			replace(func(n *algebra.Plan) *algebra.Plan {
-				return algebra.EmptyFor(n, "prune: selection is provably empty (lint SP005)")
-			})
-		}
-
-	case d.Code == "SP008" && node.Kind == algebra.PUnion:
-		replace(func(n *algebra.Plan) *algebra.Plan { return algebra.DedupUnions(n, pol) })
-	}
-	return lp
-}
-
-// locate resolves a lint position path to a plan node, or nil when the
-// tree no longer matches (an earlier rewrite replaced an ancestor).
-func locate(p *algebra.Plan, pos string) *algebra.Plan {
-	segs := strings.Split(pos, ".")
-	if len(segs) == 0 || segs[0] != "$" {
-		return nil
-	}
-	for _, s := range segs[1:] {
-		var idx int
-		switch s {
-		case "L", "Sub":
-			idx = 0
-		case "R":
-			idx = 1
-		default:
-			return nil
-		}
-		if idx >= len(p.Children) {
-			return nil
-		}
-		p = p.Children[idx]
-	}
-	return p
-}
-
-// replaceAt applies f to the node at pos and splices the result back.
-func replaceAt(p *algebra.Plan, pos string, f func(*algebra.Plan) *algebra.Plan) *algebra.Plan {
-	segs := strings.Split(pos, ".")
-	if len(segs) == 0 || segs[0] != "$" {
-		return p
-	}
-	if len(segs) == 1 {
-		return f(p)
-	}
-	cur := p
-	for _, s := range segs[1 : len(segs)-1] {
-		cur = child(cur, s)
-		if cur == nil {
-			return p
-		}
-	}
-	last := segs[len(segs)-1]
-	idx := childIndex(last)
-	if idx < 0 || idx >= len(cur.Children) {
-		return p
-	}
-	cur.Children[idx] = f(cur.Children[idx])
-	return p
-}
-
-func childIndex(seg string) int {
-	switch seg {
-	case "L", "Sub":
-		return 0
-	case "R":
-		return 1
-	}
-	return -1
-}
-
-func child(p *algebra.Plan, seg string) *algebra.Plan {
-	idx := childIndex(seg)
-	if idx < 0 || idx >= len(p.Children) {
-		return nil
-	}
-	return p.Children[idx]
 }
 
 // reflRewrite replaces maximal chains of string-equality selections

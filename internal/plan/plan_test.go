@@ -48,30 +48,33 @@ func checkAgainstNaive(t *testing.T, e algebra.Expr, opts Options, docs ...strin
 	}
 }
 
-func TestLintDrivenJoinPrune(t *testing.T) {
-	// Disjoint languages: the lint product automaton is empty, and under
-	// functional semantics that licenses pruning the join to ∅.
+func TestProvablyEmptyJoinPruned(t *testing.T) {
+	// Disjoint languages: under functional semantics the join fuses into
+	// one automaton whose language is empty, and prune replaces it by ∅
+	// before any document is seen.
 	e := algebra.Join{L: prim(t, "!x{a}"), R: prim(t, "!x{b}")}
 	pl := New(e, Options{})
 	if pl.Logical().Kind != algebra.PEmpty {
 		t.Fatalf("provably empty join not pruned:\n%s", pl.Explain())
 	}
-	if !strings.Contains(pl.Explain(), "SP003") {
-		t.Errorf("prune provenance missing lint code:\n%s", pl.Explain())
+	for _, want := range []string{"rewrites: core-simplify, prune", "SP001"} {
+		if !strings.Contains(pl.Explain(), want) {
+			t.Errorf("prune provenance missing %q:\n%s", want, pl.Explain())
+		}
 	}
 	checkAgainstNaive(t, e, Options{}, "", "a", "b", "ab")
 }
 
-func TestLintPruneGuardedUnderSchemaless(t *testing.T) {
-	// L=(!v{a}|b), R=!v{b}: lint's product automaton is empty on shared
+func TestEmptyJoinPruneGuardedUnderSchemaless(t *testing.T) {
+	// L=(!v{a}|b), R=!v{b}: the synchronized product is empty on shared
 	// markers, but the schemaless relational join is NOT empty on "b"
 	// (the b-branch contributes the empty tuple, compatible with
-	// everything). The planner must refuse the prune because v is not
-	// always bound on the left.
+	// everything). The planner must not fuse and prune the join because
+	// v is not always bound on the left.
 	e := algebra.Join{L: prim(t, "(!v{a}|b)"), R: prim(t, "!v{b}")}
 	pl := New(e, Options{Schemaless: true})
 	if pl.Logical().Kind == algebra.PEmpty {
-		t.Fatalf("unsound schemaless lint prune applied:\n%s", pl.Explain())
+		t.Fatalf("unsound schemaless join prune applied:\n%s", pl.Explain())
 	}
 	checkAgainstNaive(t, e, Options{Schemaless: true}, "", "a", "b", "ab", "ba")
 }

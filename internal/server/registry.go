@@ -151,9 +151,6 @@ func (r *registry) prepare(name string, spec querySpec, lint bool) (*preparedQue
 		}
 	}
 
-	// Plan now, so the first evaluation pays no planning latency and a
-	// plan-level failure surfaces at registration.
-	_ = q.Streaming()
 	return &preparedQuery{name: name, src: spec.Src, query: q, diags: diags}, nil
 }
 

@@ -165,6 +165,28 @@ func TestQueryRegistration(t *testing.T) {
 	code, _ = do(t, s, "PUT", "/queries/empty", `{"src": "minus(ab; ab)", "fail_on": "never"}`)
 	mustStatus(t, code, 200, "register unsatisfiable with fail_on=never")
 
+	// Joins where one operand can leave a shared variable unassigned
+	// (a union of different schemas, or any operand under schemaless
+	// semantics) match every binding of it, so they are not provably
+	// empty: both register under the default threshold and return the
+	// one tuple they extract from "b".
+	do(t, s, "PUT", "/docs/b", "b")
+	for _, q := range []struct{ name, spec string }{
+		{"unionjoin", `{"src": "seleq(x,y; join(union(!y{b}; !x{b}); !x{b}))", "alphabet": "ab"}`},
+		{"schemalessjoin", `{"src": "join((!v{a}|b); !v{b})", "schemaless": true, "alphabet": "ab"}`},
+	} {
+		code, body = do(t, s, "PUT", "/queries/"+q.name, q.spec)
+		if code != 200 {
+			t.Errorf("register %s: status = %d, want 200: %v", q.name, code, body)
+			continue
+		}
+		code, body = do(t, s, "GET", "/eval?query="+q.name+"&doc=b", "")
+		mustStatus(t, code, 200, "eval "+q.name)
+		if body["count"] != float64(1) {
+			t.Errorf("eval %s on \"b\": %v, want count 1", q.name, body)
+		}
+	}
+
 	code, body = do(t, s, "GET", "/queries/q1/explain", "")
 	mustStatus(t, code, 200, "explain")
 	if !strings.Contains(body["plan"].(string), "constant-delay") {

@@ -25,26 +25,32 @@ func abQuery(t *testing.T, pattern string) *Query {
 }
 
 func TestQueryExplainShowsRewrites(t *testing.T) {
-	// x cannot have content "ab" and "ba" at the same span, so the lint
-	// prune replaces the whole join by the empty plan.
+	// x cannot have content "ab" and "ba" at the same span: the join
+	// fuses into one automaton with an empty language, and prune
+	// replaces it by the empty plan before any document is seen. Over
+	// the fusion budget, or with the planner off, the join stays and
+	// evaluates to ∅ on its own.
 	q := abQuery(t, ".*!x{ab}.*").Join(abQuery(t, ".*!x{ba}.*"))
-	out := q.Explain()
-	t.Logf("explain:\n%s", out)
-	for _, want := range []string{"rewrites:", "lint-prune", "SP003", "[empty]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Explain missing %q:\n%s", want, out)
+	doc := []byte("abba")
+	for _, tc := range []struct {
+		name string
+		plan PlanOptions
+		want []string
+	}{
+		{"default", PlanOptions{}, []string{"rewrites: core-simplify, prune", "SP001", "[empty]"}},
+		{"over fusion budget", PlanOptions{MaxFusedStates: 1}, []string{"join vars={x}  [materialize]"}},
+		{"planner off", PlanOptions{DisableRewrites: true, NaiveBackend: true}, []string{"rewrites: disabled"}},
+	} {
+		pq := q.WithPlan(tc.plan)
+		out := pq.Explain()
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: Explain missing %q:\n%s", tc.name, want, out)
+			}
 		}
-	}
-	if got := q.Eval([]byte("abba")); got.Len() != 0 {
-		t.Errorf("pruned join evaluated non-empty: %v", got)
-	}
-	// The planner-off variant keeps the join and must agree.
-	off := q.WithPlan(PlanOptions{DisableRewrites: true, NaiveBackend: true})
-	if !strings.Contains(off.Explain(), "rewrites: disabled") {
-		t.Errorf("planner-off Explain:\n%s", off.Explain())
-	}
-	if got := off.Eval([]byte("abba")); got.Len() != 0 {
-		t.Errorf("baseline join evaluated non-empty: %v", got)
+		if got, want := pq.Eval(doc), pq.EvalNaive(doc); got.Len() != 0 || !got.Equal(want) {
+			t.Errorf("%s: Eval = %v, EvalNaive = %v, want both empty", tc.name, got, want)
+		}
 	}
 }
 
