@@ -168,7 +168,7 @@ func main() {
 }
 
 // textFlagSet reports whether -text was given explicitly (an explicit
-// -text '' means the empty document, which is a legitimate input).
+// -text "" means the empty document, which is a legitimate input).
 func textFlagSet() bool {
 	set := false
 	flag.Visit(func(f *flag.Flag) {

@@ -5,16 +5,16 @@ import (
 	"sync"
 )
 
-// Blocked Boolean matrix kernels. The scalar kernels in matrix.go scan
-// set bits one at a time; these kernels trade a per-block table build for
-// word-parallel row combination (the "Four Russians" method) and a
-// tile-wise transpose, which is what makes the matrix products behind
-// compressed evaluation (Section 4.2 of the survey) run at memory speed
-// once the automata get large or dense. The complexity analysis follows
+// The blocked Boolean matrix product. The sparse kernel in matrix.go
+// scans set bits one at a time; this kernel trades a per-block table
+// build for word-parallel row combination (the "Four Russians" method),
+// which is what makes the matrix products behind compressed evaluation
+// (Section 4.2 of the survey) run at memory speed once the automata get
+// large or dense. The complexity analysis follows
 // Arlazarov–Dinic–Kronrod–Faradžev: with 8-row blocks the product costs
 // O(N²·w/8) word operations plus O(32·N·w) for the tables, against
-// O(pop(a)·w) for the sparse scan — so the dispatchers in matrix.go
-// switch kernels on size and population count.
+// O(pop(a)·w) for the sparse scan — so MulInto in matrix.go switches
+// kernels on size and population count.
 
 const (
 	// frMinN is the smallest matrix order at which the Four-Russians
@@ -28,13 +28,10 @@ const (
 	// (at most N²/8 of them), so the measured crossover sits near
 	// one-quarter density (BenchmarkMulInto).
 	frDensityDen = 4
-	// transposeBlockN is the order at which the tile-wise transpose
-	// takes over from the bit-at-a-time scan.
-	transposeBlockN = 64
 )
 
-// wordPool recycles the per-call scratch of the blocked kernels (the
-// 256-entry combination tables and transposed operands), keeping the hot
+// wordPool recycles the per-call scratch of the blocked product (the
+// 256-entry combination tables), keeping the hot
 // evaluation loops allocation-free. Buffers are handed back unzeroed;
 // every consumer fully overwrites what it reads.
 var wordPool sync.Pool // *[]uint64
@@ -121,57 +118,5 @@ func (out *BoolMatrix) mulFourRussians(a, b *BoolMatrix) *BoolMatrix {
 		}
 	}
 	putWords(tbl)
-	return out
-}
-
-// transpose64 transposes a 64×64 bit tile in place (bit q of word p ↔
-// bit p of word q), by recursive block swapping in log₂64 = 6 passes —
-// Hacker's Delight 7-3 with LSB-first column numbering.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := ((a[k] >> uint(j)) ^ a[k+j]) & m
-			a[k] ^= t << uint(j)
-			a[k+j] ^= t
-		}
-		j >>= 1
-		m ^= m << uint(j)
-	}
-}
-
-// transposeBlocked computes mᵀ into out tile by tile: gather a 64×64 bit
-// tile (64 row words of one column-word), transpose it in registers, and
-// scatter it as 64 column words of one row-word. Both the gather and the
-// scatter touch whole cache lines, unlike the bit-at-a-time scan. Every
-// word of out is written exactly once, so no clear pass is needed; tile
-// rows past N are zeroed so the padding-bits-are-zero invariant holds.
-func (out *BoolMatrix) transposeBlocked(m *BoolMatrix) *BoolMatrix {
-	n := m.N
-	w := m.w
-	var tile [64]uint64
-	for bi := 0; bi < n; bi += 64 {
-		nr := n - bi
-		if nr > 64 {
-			nr = 64
-		}
-		wi := bi >> 6
-		for wj := 0; wj < w; wj++ {
-			for r := 0; r < nr; r++ {
-				tile[r] = m.rows[(bi+r)*w+wj]
-			}
-			for r := nr; r < 64; r++ {
-				tile[r] = 0
-			}
-			transpose64(&tile)
-			nc := n - wj*64
-			if nc > 64 {
-				nc = 64
-			}
-			for c := 0; c < nc; c++ {
-				out.rows[(wj*64+c)*w+wi] = tile[c]
-			}
-		}
-	}
 	return out
 }

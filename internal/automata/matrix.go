@@ -24,6 +24,15 @@ func NewBoolMatrix(n int) *BoolMatrix {
 	return &BoolMatrix{N: n, w: w, rows: make([]uint64, n*w)}
 }
 
+// MatrixView returns the N×N matrix whose rows are the first N·⌈N/64⌉
+// words of rows, which the caller owns: Set and the *Into kernels write
+// through to them. Views let a caller keep several matrices in one
+// allocation; the views it makes must not overlap.
+func MatrixView(n int, rows []uint64) BoolMatrix {
+	w := (n + 63) / 64
+	return BoolMatrix{N: n, w: w, rows: rows[: n*w : n*w]}
+}
+
 // IdentityMatrix returns the N×N identity.
 func IdentityMatrix(n int) *BoolMatrix {
 	m := NewBoolMatrix(n)
@@ -61,7 +70,8 @@ func (m *BoolMatrix) Mul(other *BoolMatrix) *BoolMatrix {
 // aliases reports whether two matrices share row storage — the aliasing
 // the *Into kernels must reject, since they clear out before reading the
 // operands. Head-pointer equality is the exact test here: matrices never
-// share partial storage.
+// share partial storage, and the views of one slab (MatrixView) never
+// overlap.
 func aliases(a, b *BoolMatrix) bool {
 	return a == b || (len(a.rows) > 0 && len(b.rows) > 0 && &a.rows[0] == &b.rows[0])
 }
@@ -106,154 +116,49 @@ func (out *BoolMatrix) mulSparse(a, b *BoolMatrix) *BoolMatrix {
 	return out
 }
 
-// Transpose returns mᵀ. Together with MulTransposed and ApplyLeft it
-// gives cache-line-contiguous access to the columns of a matrix that is
-// used as a right operand many times (transposing once, then streaming
-// rows of the transpose, replaces strided column walks).
-func (m *BoolMatrix) Transpose() *BoolMatrix {
-	return NewBoolMatrix(m.N).TransposeInto(m)
-}
-
-// TransposeInto computes mᵀ into out (cleared first; must not alias m —
-// aliasing panics). Matrices of order ≥ 64 go through the cache-friendly
-// tile-wise kernel (fourrussians.go); smaller ones scan bits. Returns
-// out.
-func (out *BoolMatrix) TransposeInto(m *BoolMatrix) *BoolMatrix {
-	if aliases(out, m) {
-		panic("automata: TransposeInto: out aliases the operand")
-	}
-	if m.N >= transposeBlockN {
-		return out.transposeBlocked(m)
-	}
-	return out.transposeScalar(m)
-}
-
-// transposeScalar is the bit-at-a-time transpose kernel for small
-// matrices.
-func (out *BoolMatrix) transposeScalar(m *BoolMatrix) *BoolMatrix {
-	w := m.w
-	clear(out.rows)
-	for p := 0; p < m.N; p++ {
-		pw, pb := p/64, uint64(1)<<uint(p%64)
-		src := m.rows[p*w : (p+1)*w]
-		for wi, word := range src {
-			base := wi * 64
-			for word != 0 {
-				q := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				out.rows[q*w+pw] |= pb
-			}
-		}
-	}
-	return out
-}
-
-// MulTransposed returns m·b given bt = bᵀ: (m·b)[p][q] = 1 iff row p of
-// m intersects row q of bt. Both operands are streamed row-contiguously
-// — the dense-friendly kernel, O(N²·w) with perfect locality.
-func (m *BoolMatrix) MulTransposed(bt *BoolMatrix) *BoolMatrix {
-	return NewBoolMatrix(m.N).MulTransposedInto(m, bt)
-}
-
-// MulTransposedInto computes a·b into out given bt = bᵀ (out cleared
-// first; must not alias a or bt — aliasing panics). Large inputs
-// re-transpose bt into pooled scratch and take the Four-Russians blocked
-// product, which beats the pairwise intersection scan as soon as most
-// row pairs fail to intersect early. Returns out.
-func (out *BoolMatrix) MulTransposedInto(a, bt *BoolMatrix) *BoolMatrix {
-	if aliases(out, a) || aliases(out, bt) {
-		panic("automata: MulTransposedInto: out aliases an operand")
-	}
-	if a.N >= frMinN {
-		bw := getWords(len(bt.rows))
-		b := &BoolMatrix{N: bt.N, w: bt.w, rows: bw}
-		b.transposeBlocked(bt)
-		out.mulFourRussians(a, b)
-		putWords(bw)
-		return out
-	}
-	return out.mulTransposedScalar(a, bt)
-}
-
-// mulTransposedScalar is the pairwise row-intersection kernel: row p of
-// a against row q of bt with an early break on the first common word —
-// O(N²·w) worst case with perfect locality, near O(N²) on dense inputs.
-func (out *BoolMatrix) mulTransposedScalar(a, bt *BoolMatrix) *BoolMatrix {
-	w := out.w
-	clear(out.rows)
-	for p := 0; p < a.N; p++ {
-		arow := a.rows[p*w : (p+1)*w : (p+1)*w]
-		dst := out.rows[p*w : (p+1)*w]
-		for q := 0; q < bt.N; q++ {
-			brow := bt.rows[q*w : (q+1)*w : (q+1)*w]
-			for k := range arow {
-				if arow[k]&brow[k] != 0 {
-					dst[q/64] |= 1 << uint(q%64)
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ApplyLeft returns the row vector v·m for a bitset vector v (reachable
-// target states when starting from any state set in v).
-func (m *BoolMatrix) ApplyLeft(v []uint64) []uint64 {
-	return m.ApplyLeftInto(make([]uint64, m.w), v)
-}
-
-// ApplyLeftInto computes v·m into the scratch vector dst (length ≥
-// Words(); cleared first; must not alias v — aliasing panics) and
-// returns dst[:Words()]. Reusing one scratch vector across calls keeps
-// hot loops allocation-free.
-func (m *BoolMatrix) ApplyLeftInto(dst, v []uint64) []uint64 {
-	w := m.w
-	dst = dst[:w]
-	if w > 0 && len(v) > 0 && &dst[0] == &v[0] {
-		panic("automata: ApplyLeftInto: dst aliases v")
-	}
-	clear(dst)
-	for wi, word := range v {
-		base := wi * 64
-		for word != 0 {
-			p := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			row := m.rows[p*w : (p+1)*w : (p+1)*w]
-			for k := range dst {
-				dst[k] |= row[k]
-			}
-		}
-	}
-	return dst
-}
-
 // ApplyRight returns the column image m·v: out[p] = 1 iff ∃q: m[p][q] ∧ v[q].
-// This propagates "can reach acceptance" vectors backwards. When the same
-// matrix is applied many times, ApplyLeft on its Transpose computes the
-// same vector while touching only the rows set in v.
+// This propagates "can reach acceptance" vectors backwards.
 func (m *BoolMatrix) ApplyRight(v []uint64) []uint64 {
 	return m.ApplyRightInto(make([]uint64, m.w), v)
 }
 
 // ApplyRightInto computes m·v into the scratch vector dst (length ≥
-// Words(); cleared first; must not alias v — aliasing panics) and
-// returns dst[:Words()].
+// Words(); overwritten; must not alias v — aliasing panics) and
+// returns dst[:Words()]. Each row costs w word ANDs and no
+// data-dependent branch: the row's hits are ORed together and bit p is
+// set from whether any is nonzero. Orders up to 64 (one word per row,
+// the compressed walk's usual case) take a loop without per-row
+// slicing, which cuts the kernel's cost there to about a third.
 func (m *BoolMatrix) ApplyRightInto(dst, v []uint64) []uint64 {
 	w := m.w
 	dst = dst[:w]
 	if w > 0 && len(v) > 0 && &dst[0] == &v[0] {
 		panic("automata: ApplyRightInto: dst aliases v")
 	}
-	clear(dst)
-	for p := 0; p < m.N; p++ {
-		row := m.rows[p*w : (p+1)*w : (p+1)*w]
-		for k := range row {
-			if row[k]&v[k] != 0 {
-				dst[p/64] |= 1 << uint(p%64)
-				break
-			}
+	v = v[:w]
+	if w == 1 {
+		v0 := v[0]
+		var hits uint64
+		for p, x := range m.rows {
+			t := x & v0
+			hits |= (t | -t) >> 63 << uint(p&63)
 		}
+		dst[0] = hits
+		return dst
+	}
+	rows := m.rows
+	for j := range dst {
+		var hits uint64
+		end := min(m.N, 64*j+64)
+		for p := 64 * j; p < end; p++ {
+			row := rows[p*w : p*w+w]
+			var t uint64
+			for k, x := range row {
+				t |= x & v[k]
+			}
+			hits |= (t | -t) >> 63 << uint(p&63)
+		}
+		dst[j] = hits
 	}
 	return dst
 }

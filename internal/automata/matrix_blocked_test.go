@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func naiveTranspose(m *BoolMatrix) *BoolMatrix {
-	out := NewBoolMatrix(m.N)
-	for p := 0; p < m.N; p++ {
-		for q := 0; q < m.N; q++ {
-			if m.Get(p, q) {
-				out.Set(q, p)
-			}
-		}
-	}
-	return out
-}
-
 // The blocked kernels must be bit-identical to the naive reference at
 // every word-boundary width, regardless of the dispatch cutovers.
 func TestBlockedKernelsMatchNaive(t *testing.T) {
@@ -32,51 +20,12 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 			if !NewBoolMatrix(n).mulSparse(a, b).Equal(wantMul) {
 				t.Errorf("mulSparse mismatch at n=%d density=%v", n, density)
 			}
-			wantT := naiveTranspose(b)
-			if !NewBoolMatrix(n).transposeBlocked(b).Equal(wantT) {
-				t.Errorf("transposeBlocked mismatch at n=%d density=%v", n, density)
-			}
-			if !NewBoolMatrix(n).transposeScalar(b).Equal(wantT) {
-				t.Errorf("transposeScalar mismatch at n=%d density=%v", n, density)
-			}
-			if !NewBoolMatrix(n).mulTransposedScalar(a, wantT).Equal(wantMul) {
-				t.Errorf("mulTransposedScalar mismatch at n=%d density=%v", n, density)
-			}
-			// Public dispatchers agree with the reference no matter which
-			// kernel the size/density heuristics pick.
+			// The public dispatcher agrees with the reference no matter
+			// which kernel the size/density heuristics pick.
 			if !NewBoolMatrix(n).MulInto(a, b).Equal(wantMul) {
 				t.Errorf("MulInto mismatch at n=%d density=%v", n, density)
 			}
-			if !NewBoolMatrix(n).MulTransposedInto(a, wantT).Equal(wantMul) {
-				t.Errorf("MulTransposedInto mismatch at n=%d density=%v", n, density)
-			}
-			if !NewBoolMatrix(n).TransposeInto(b).Equal(wantT) {
-				t.Errorf("TransposeInto mismatch at n=%d density=%v", n, density)
-			}
 		}
-	}
-}
-
-func TestTranspose64Involution(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var tile, orig [64]uint64
-	for i := range tile {
-		tile[i] = rng.Uint64()
-		orig[i] = tile[i]
-	}
-	transpose64(&tile)
-	for p := 0; p < 64; p++ {
-		for q := 0; q < 64; q++ {
-			got := tile[p]>>uint(q)&1 != 0
-			want := orig[q]>>uint(p)&1 != 0
-			if got != want {
-				t.Fatalf("transpose64: bit (%d,%d) wrong", p, q)
-			}
-		}
-	}
-	transpose64(&tile)
-	if tile != orig {
-		t.Fatal("transpose64 is not an involution")
 	}
 }
 
@@ -97,11 +46,7 @@ func TestIntoKernelsPanicOnAliasing(t *testing.T) {
 		b := randomMatrix(n, rng, 0.3)
 		mustPanic(t, "MulInto(out=a)", func() { a.MulInto(a, b) })
 		mustPanic(t, "MulInto(out=b)", func() { b.MulInto(a, b) })
-		mustPanic(t, "MulTransposedInto(out=a)", func() { a.MulTransposedInto(a, b) })
-		mustPanic(t, "MulTransposedInto(out=bt)", func() { b.MulTransposedInto(a, b) })
-		mustPanic(t, "TransposeInto(out=m)", func() { a.TransposeInto(a) })
 		v := make([]uint64, a.Words())
-		mustPanic(t, "ApplyLeftInto(dst=v)", func() { a.ApplyLeftInto(v, v) })
 		mustPanic(t, "ApplyRightInto(dst=v)", func() { a.ApplyRightInto(v, v) })
 		// A shared backing array counts as aliasing even across distinct
 		// headers.
@@ -111,7 +56,6 @@ func TestIntoKernelsPanicOnAliasing(t *testing.T) {
 	// N=0 matrices share no storage; the kernels must accept them.
 	z := NewBoolMatrix(0)
 	z.MulInto(NewBoolMatrix(0), NewBoolMatrix(0))
-	z.TransposeInto(NewBoolMatrix(0))
 }
 
 func benchPair(n int, density float64) (a, b *BoolMatrix) {
@@ -144,41 +88,8 @@ func BenchmarkMulInto(b *testing.B) {
 	}
 }
 
-func BenchmarkTransposeInto(b *testing.B) {
-	for _, n := range []int{16, 64, 256, 1024} {
-		x, _ := benchPair(n, 0.3)
-		out := NewBoolMatrix(n)
-		name := benchName(n, 0.3)
-		b.Run("blocked/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out.transposeBlocked(x)
-			}
-		})
-		b.Run("scalar/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out.transposeScalar(x)
-			}
-		})
-	}
-}
-
-func BenchmarkMulTransposedInto(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		for _, density := range []float64{0.05, 0.5} {
-			x, y := benchPair(n, density)
-			yt := y.Transpose()
-			out := NewBoolMatrix(n)
-			b.Run(benchName(n, density), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out.MulTransposedInto(x, yt)
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkApplyLeftInto(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
+func BenchmarkApplyRightInto(b *testing.B) {
+	for _, n := range []int{12, 36, 64, 256} {
 		x, _ := benchPair(n, 0.3)
 		v := NewBitVec(n)
 		for q := 0; q < n; q += 3 {
@@ -187,7 +98,7 @@ func BenchmarkApplyLeftInto(b *testing.B) {
 		dst := make([]uint64, x.Words())
 		b.Run(benchName(n, 0.3), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				x.ApplyLeftInto(dst, v)
+				x.ApplyRightInto(dst, v)
 			}
 		})
 	}

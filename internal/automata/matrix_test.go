@@ -57,9 +57,6 @@ func TestBoolMatrixMulMatchesNaive(t *testing.T) {
 		if !NewBoolMatrix(n).MulInto(a, b).Equal(want) {
 			t.Errorf("MulInto mismatch at n=%d", n)
 		}
-		if !a.MulTransposed(b.Transpose()).Equal(want) {
-			t.Errorf("MulTransposed mismatch at n=%d", n)
-		}
 	}
 }
 
@@ -72,39 +69,49 @@ func TestBoolMatrixIdentityIdempotent(t *testing.T) {
 	}
 }
 
-func TestBoolMatrixTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 63, 64, 65, 90} {
-		m := randomMatrix(n, rng, 0.25)
-		if !m.Transpose().Transpose().Equal(m) {
-			t.Errorf("(mᵀ)ᵀ ≠ m at n=%d", n)
-		}
-	}
-}
-
-func TestApplyIntoMatchesAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 63, 64, 65, 100} {
-		m := randomMatrix(n, rng, 0.2)
-		v := NewBitVec(n)
-		for q := 0; q < n; q++ {
-			if rng.Intn(3) == 0 {
-				BitSet(v, q)
+// naiveApplyRight is m·v by definition: bit p is set iff some q has
+// m[p][q] and v[q].
+func naiveApplyRight(m *BoolMatrix, v []uint64) []uint64 {
+	out := NewBitVec(m.N)
+	for p := 0; p < m.N; p++ {
+		for q := 0; q < m.N; q++ {
+			if m.Get(p, q) && BitGet(v, q) {
+				BitSet(out, p)
+				break
 			}
 		}
-		scratch := make([]uint64, m.Words())
-		left := m.ApplyLeft(v)
-		if got := m.ApplyLeftInto(scratch, v); !vecEqual(got, left) {
-			t.Errorf("ApplyLeftInto mismatch at n=%d", n)
-		}
-		right := m.ApplyRight(v)
-		if got := m.ApplyRightInto(scratch, v); !vecEqual(got, right) {
-			t.Errorf("ApplyRightInto mismatch at n=%d", n)
-		}
-		// The transpose identity the enumeration walk relies on:
-		// mᵀ applied on the left is m applied on the right.
-		if got := m.Transpose().ApplyLeft(v); !vecEqual(got, right) {
-			t.Errorf("mᵀ.ApplyLeft ≠ m.ApplyRight at n=%d", n)
+	}
+	return out
+}
+
+// TestApplyIntoMatchesAlloc pins the pullback kernel, allocating and
+// into a reused scratch vector, to its definition at word-boundary
+// orders, several densities, and the empty and full vectors.
+func TestApplyIntoMatchesAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 12, 36, 63, 64, 65, 130} {
+		for _, density := range []float64{0, 0.05, 0.3, 1} {
+			m := randomMatrix(n, rng, density)
+			empty, full, some := NewBitVec(n), NewBitVec(n), NewBitVec(n)
+			for q := 0; q < n; q++ {
+				BitSet(full, q)
+				if rng.Intn(3) == 0 {
+					BitSet(some, q)
+				}
+			}
+			scratch := make([]uint64, m.Words())
+			for _, v := range [][]uint64{empty, full, some} {
+				want := naiveApplyRight(m, v)
+				if got := m.ApplyRight(v); !vecEqual(got, want) {
+					t.Errorf("ApplyRight mismatch at n=%d density=%v v=%b", n, density, v)
+				}
+				for i := range scratch {
+					scratch[i] = ^uint64(0) // the kernel must overwrite dst
+				}
+				if got := m.ApplyRightInto(scratch, v); !vecEqual(got, want) {
+					t.Errorf("ApplyRightInto mismatch at n=%d density=%v v=%b", n, density, v)
+				}
+			}
 		}
 	}
 }
@@ -144,24 +151,41 @@ func TestBoolMatrixAssociativity(t *testing.T) {
 	}
 }
 
-func TestApplyLeftRight(t *testing.T) {
+func TestApplyRight(t *testing.T) {
 	m := NewBoolMatrix(5)
 	m.Set(0, 2)
 	m.Set(2, 4)
 	m.Set(3, 1)
-
-	v := NewBitVec(5)
-	BitSet(v, 0)
-	BitSet(v, 3)
-	left := m.ApplyLeft(v) // rows 0 and 3 → {2, 1}
-	if !BitGet(left, 2) || !BitGet(left, 1) || BitGet(left, 4) {
-		t.Errorf("ApplyLeft = %b", left)
-	}
 
 	acc := NewBitVec(5)
 	BitSet(acc, 4)
 	right := m.ApplyRight(acc) // who reaches 4? state 2.
 	if !BitGet(right, 2) || BitGet(right, 0) || BitGet(right, 3) {
 		t.Errorf("ApplyRight = %b", right)
+	}
+}
+
+// TestMatrixViewWritesThrough keeps two matrices in one slab: the
+// product fills the first view in place, leaves the second untouched,
+// and the views do not count as aliases of each other.
+func TestMatrixViewWritesThrough(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 36, 65} {
+		a := randomMatrix(n, rng, 0.2)
+		b := randomMatrix(n, rng, 0.2)
+		mw := n * ((n + 63) / 64)
+		slab := make([]uint64, 2*mw)
+		x, y := MatrixView(n, slab[:mw]), MatrixView(n, slab[mw:])
+		x.MulInto(a, b)
+		if whole := MatrixView(n, slab); !x.Equal(naiveMul(a, b)) || !whole.Equal(&x) {
+			t.Errorf("MulInto into a view mismatch at n=%d", n)
+		}
+		if !y.Equal(NewBoolMatrix(n)) {
+			t.Errorf("MulInto into the first view wrote into the second at n=%d", n)
+		}
+		y.MulInto(&x, b)
+		if !y.Equal(naiveMul(&x, b)) {
+			t.Errorf("MulInto from a view into its neighbour mismatch at n=%d", n)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package slpmatch
 
 import (
+	"unsafe"
+
 	"docspanner/internal/automata"
 	"docspanner/internal/slp"
 	"docspanner/internal/spans"
@@ -8,17 +10,34 @@ import (
 
 // nodeData is the per-SLP-node payload of an index: the deterministic
 // pure-letter step function P, the mask-anywhere reachability matrix E
-// (at every boundary before a letter, at most one mask may fire), the
-// at-least-one-mask matrix E⁺ used to prune subtrees without result
-// events, and Eᵀ so that alive-vector pullback streams only the rows
-// that are set in the vector. An inner node's data links to its
-// children's, so the enumeration walk reads no table.
+// (at every boundary before a letter, at most one mask may fire), and
+// the at-least-one-mask matrix E⁺ used to prune subtrees without result
+// events. All three live in one slab — E's rows, then E⁺'s, then P as
+// int32s — that em, ep and pure view; the alive-vector pullback reads E
+// directly (ApplyRightInto), so no transpose is stored. An inner node's
+// data links to its children's and carries its text length n, so the
+// enumeration walk reads no table and no SLP node.
 type nodeData struct {
-	pure []int32
-	em   *automata.BoolMatrix
-	ep   *automata.BoolMatrix
-	emT  *automata.BoolMatrix
-	l, r *nodeData
+	em, ep automata.BoolMatrix
+	pure   []int32
+	l, r   *nodeData
+	n      int64
+}
+
+// newNodeData allocates the data of a node of text length n over nq
+// states: one zeroed slab, with em, ep and pure viewing it.
+func newNodeData(nq int, n int64) *nodeData {
+	mw := nq * ((nq + 63) / 64)
+	slab := make([]uint64, 2*mw+(nq+1)/2)
+	nd := &nodeData{
+		em: automata.MatrixView(nq, slab[:mw]),
+		ep: automata.MatrixView(nq, slab[mw:2*mw]),
+		n:  n,
+	}
+	if nq > 0 {
+		nd.pure = unsafe.Slice((*int32)(unsafe.Pointer(&slab[2*mw])), nq)
+	}
+	return nd
 }
 
 // Index enumerates a deterministic extended vset-automaton's spanner
@@ -45,12 +64,7 @@ func NewIndex(d *automata.DEVA) *Index {
 	// Dense leaf table: real data for the automaton's letters, one shared
 	// dead entry (pure all −1, zero matrices) for every other byte — a
 	// letter the automaton never reads kills every run.
-	dead := &nodeData{
-		pure: make([]int32, nq),
-		em:   automata.NewBoolMatrix(nq),
-		ep:   automata.NewBoolMatrix(nq),
-	}
-	dead.emT = dead.em
+	dead := newNodeData(nq, 1)
 	for q := range dead.pure {
 		dead.pure[q] = -1
 	}
@@ -59,11 +73,8 @@ func NewIndex(d *automata.DEVA) *Index {
 	}
 	for _, b := range c.Letters {
 		steps := c.StepsFor(b)
-		nd := &nodeData{
-			pure: steps,
-			em:   automata.NewBoolMatrix(nq),
-			ep:   automata.NewBoolMatrix(nq),
-		}
+		nd := newNodeData(nq, 1)
+		copy(nd.pure, steps)
 		for q := 0; q < nq; q++ {
 			if s := steps[q]; s >= 0 {
 				nd.em.Set(q, int(s))
@@ -75,7 +86,6 @@ func NewIndex(d *automata.DEVA) *Index {
 				}
 			}
 		}
-		nd.emT = nd.em.Transpose()
 		ix.leaf[b] = nd
 	}
 
@@ -113,31 +123,33 @@ func (ix *Index) node(n *slp.Node) *nodeData {
 	return nd
 }
 
-// combine derives a concatenation node's data from its children's.
+// combine derives a concatenation node's data from its children's,
+// writing straight into the node's slab.
 func (ix *Index) combine(l, r *nodeData) *nodeData {
 	nq := ix.nq
-	p := make([]int32, nq)
+	nd := newNodeData(nq, l.n+r.n)
 	for q := 0; q < nq; q++ {
 		if l.pure[q] >= 0 {
-			p[q] = r.pure[l.pure[q]]
+			nd.pure[q] = r.pure[l.pure[q]]
 		} else {
-			p[q] = -1
+			nd.pure[q] = -1
 		}
 	}
-	em := l.em.Mul(r.em)
+	nd.em.MulInto(&l.em, &r.em)
 	// E⁺_AB = E⁺_A·E_B  ∨  P_A ; E⁺_B (mask in the left part, or pure
 	// left then mask in the right part).
-	ep := l.ep.Mul(r.em)
+	nd.ep.MulInto(&l.ep, &r.em)
 	for q := 0; q < nq; q++ {
 		if l.pure[q] >= 0 {
 			src := r.ep.Row(int(l.pure[q]))
-			dst := ep.Row(q)
+			dst := nd.ep.Row(q)
 			for k := range dst {
 				dst[k] |= src[k]
 			}
 		}
 	}
-	return &nodeData{pure: p, em: em, ep: ep, emT: em.Transpose(), l: l, r: r}
+	nd.l, nd.r = l, r
+	return nd
 }
 
 // DEVA returns the underlying deterministic automaton.
@@ -206,7 +218,7 @@ func (ix *Index) NonEmpty(root *slp.Node) bool {
 	if root == nil {
 		return vecGet(ix.finalAlive, ix.c.Start)
 	}
-	v := ix.node(root).emT.ApplyLeft(ix.finalAlive)
+	v := ix.node(root).em.ApplyRight(ix.finalAlive)
 	return vecGet(v, ix.c.Start)
 }
 
@@ -288,12 +300,11 @@ type cenum struct {
 	expanded int
 }
 
-// frame is a subtree the walk has yet to read: node, with its data nd,
+// frame is a subtree the walk has yet to read: the node with data nd
 // starts at absolute offset off, av is the alive vector at its end, and
 // next indexes the frame that follows it in cenum.frames (−1: the end of
 // the document).
 type frame struct {
-	node *slp.Node
 	nd   *nodeData
 	av   []uint64
 	off  int64
@@ -327,7 +338,7 @@ func (e *cenum) putVec(v []uint64) { e.free = append(e.free, v) }
 func (e *cenum) run(events []event) {
 	next := -1
 	if e.root != nil {
-		e.frames = append(e.frames, frame{node: e.root, nd: e.ix.node(e.root), av: e.ix.finalAlive, next: -1})
+		e.frames = append(e.frames, frame{nd: e.ix.node(e.root), av: e.ix.finalAlive, next: -1})
 		next = 0
 	}
 	e.resume(e.ix.c.Start, next, events, 0)
@@ -339,7 +350,7 @@ func (e *cenum) run(events []event) {
 func (e *cenum) resume(q, f int, events []event, acc automata.Mask) {
 	for f >= 0 {
 		fr := e.frames[f]
-		exit := e.walk(fr.node, fr.nd, q, fr.av, fr.off, fr.next, events, acc)
+		exit := e.walk(fr.nd, q, fr.av, fr.off, fr.next, events, acc)
 		if e.aborted || exit < 0 {
 			return
 		}
@@ -381,16 +392,16 @@ func (e *cenum) finish(q int, events []event, acc automata.Mask) {
 	}
 }
 
-// walk reads node a, with data nd, at absolute offset off, from its
+// walk reads the node with data nd at absolute offset off, from its
 // start in state q; av is the alive vector at its end and next the frame
-// after it. It fires every productive event inside a, continuing each
-// one through resume, and returns the pure-letter exit state (−1 if the
-// pure run dies).
-func (e *cenum) walk(a *slp.Node, nd *nodeData, q int, av []uint64, off int64, next int, events []event, acc automata.Mask) int32 {
+// after it. It fires every productive event inside the node, continuing
+// each one through resume, and returns the pure-letter exit state (−1 if
+// the pure run dies).
+func (e *cenum) walk(nd *nodeData, q int, av []uint64, off int64, next int, events []event, acc automata.Mask) int32 {
 	if e.aborted {
 		return -1
 	}
-	if a.IsLeaf() {
+	if nd.l == nil {
 		steps := nd.pure
 		for _, me := range e.ix.c.MaskEdges[q] {
 			s := steps[me.To]
@@ -409,25 +420,23 @@ func (e *cenum) walk(a *slp.Node, nd *nodeData, q int, av []uint64, off int64, n
 		return steps[q]
 	}
 	// Prune whole subtrees without productive events.
-	if !rowMeets(nd.ep, q, av) {
+	if !rowMeets(&nd.ep, q, av) {
 		return nd.pure[q]
 	}
 	e.expanded++
-	// Pull the alive vector back over the right part: avL = E_R·av,
-	// computed as avᵀ·E_Rᵀ so only the set rows are streamed. The right
-	// part becomes a frame for the events of the left one.
-	l, r := a.Left(), a.Right()
-	rOff := off + l.Len()
-	avL := nd.r.emT.ApplyLeftInto(e.getVec(), av)
-	e.frames = append(e.frames, frame{node: r, nd: nd.r, av: av, off: rOff, next: next})
+	// Pull the alive vector back over the right part, avL = E_R·av, and
+	// make the right part a frame for the events of the left one.
+	rOff := off + nd.l.n
+	avL := nd.r.em.ApplyRightInto(e.getVec(), av)
+	e.frames = append(e.frames, frame{nd: nd.r, av: av, off: rOff, next: next})
 	top := len(e.frames) - 1
-	ls := e.walk(l, nd.l, q, avL, off, top, events, acc)
+	ls := e.walk(nd.l, q, avL, off, top, events, acc)
 	e.frames = e.frames[:top]
 	e.putVec(avL)
 	if e.aborted || ls < 0 {
 		return -1
 	}
-	return e.walk(r, nd.r, int(ls), av, rOff, next, events, acc)
+	return e.walk(nd.r, int(ls), av, rOff, next, events, acc)
 }
 
 // rowMeets reports whether row q of m intersects vector v.

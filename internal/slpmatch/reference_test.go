@@ -31,8 +31,10 @@ func refCountTotal(ix *Index, root *slp.Node, vars spans.VarSet, poll func() boo
 // pulling the alive vector back level by level. It stays as the oracle
 // for the ORDER of Index.Each and for CountTotal's partial counts under
 // early stop and poll abort. It borrows cenum's fields and helpers
-// (scratch vectors, counting, finish) and replaces only the walk, which
-// looks node data up in the index's table.
+// (counting, finish) and replaces only the walk, which looks node data
+// up in the index's table and pulls alive vectors back by the
+// definition of the matrix-vector product, not by the kernel the walk
+// uses.
 type refEnum struct{ cenum }
 
 // dfs enumerates all accepting runs from state q at absolute boundary
@@ -91,17 +93,25 @@ func (e *refEnum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, even
 	// offset 0, where E⁺ describes the whole node).
 	if i == 0 {
 		nd := e.ix.node(a)
-		if !rowMeets(nd.ep, q, av) {
+		if !rowMeets(&nd.ep, q, av) {
 			return nd.pure[q]
 		}
 	}
-	// Pull the alive vector back over the right part: avL = E_R·av,
-	// computed as avᵀ·E_Rᵀ so only the set rows are streamed.
+	// Pull the alive vector back over the right part, avL = E_R·av,
+	// by the definition: p is alive before the right part iff E_R leads
+	// it to a state alive after it.
 	e.expanded++
-	rd := e.ix.node(a.Right())
-	avL := rd.emT.ApplyLeftInto(e.getVec(), av)
+	em := &e.ix.node(a.Right()).em
+	avL := automata.NewBitVec(em.N)
+	for p := 0; p < em.N; p++ {
+		for q := 0; q < em.N; q++ {
+			if em.Get(p, q) && vecGet(av, q) {
+				automata.BitSet(avL, p)
+				break
+			}
+		}
+	}
 	ls := e.walk(a.Left(), q, i, avL, off, events, acc)
-	e.putVec(avL)
 	if e.aborted || ls < 0 {
 		return -1
 	}

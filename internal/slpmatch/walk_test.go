@@ -3,6 +3,7 @@ package slpmatch
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -358,5 +359,53 @@ func BenchmarkCompressedLogEnumerate(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(tuples, 1)), "ns/tuple")
 		})
+	}
+}
+
+// BenchmarkCompressedLogWarm warms a fresh index of each log pattern on
+// the corpus of BenchmarkCompressedLogEnumerate, reporting ns per
+// cached inner node.
+func BenchmarkCompressedLogWarm(b *testing.B) {
+	root := compressedLog(rand.New(rand.NewSource(1)), 8, 16<<10, 16)
+	for _, q := range logQueries {
+		d := logIndex(b, q.src).DEVA()
+		b.Run(q.name, func(b *testing.B) {
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				ix := NewIndex(d)
+				ix.Warm(root)
+				nodes += ix.CachedNodes()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(nodes, 1)), "ns/node")
+		})
+	}
+}
+
+// TestWarmAllocsPerNode bounds the heap objects warming allocates per
+// inner SLP node of the log corpus: the node's struct and its one slab
+// (E, E⁺ and P), plus the table's amortized growth. It logs the live
+// bytes per node, the figure §4.2's |Q|²-bit bound is about.
+func TestWarmAllocsPerNode(t *testing.T) {
+	root := compressedLog(rand.New(rand.NewSource(1)), 8, 16<<10, 16)
+	for _, q := range logQueries {
+		ix := logIndex(t, q.src)
+		runtime.GC()
+		var before, warmed, live runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix.Warm(root)
+		runtime.ReadMemStats(&warmed)
+		runtime.GC()
+		runtime.ReadMemStats(&live)
+		nodes := ix.CachedNodes()
+		if nodes == 0 {
+			t.Fatalf("%s: Warm cached no nodes", q.name)
+		}
+		perNode := float64(warmed.Mallocs-before.Mallocs) / float64(nodes)
+		t.Logf("%s: %d nodes, %.2f objects and %.0f live bytes per node", q.name, nodes, perNode,
+			float64(int64(live.HeapAlloc)-int64(before.HeapAlloc))/float64(nodes))
+		if perNode > 2.1 {
+			t.Errorf("%s: Warm allocated %.2f heap objects per cached node, want ≤ 2.1", q.name, perNode)
+		}
+		runtime.KeepAlive(ix)
 	}
 }

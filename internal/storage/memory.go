@@ -20,14 +20,14 @@ func NewMemory() *Memory { return &Memory{} }
 func (*Memory) Load() (*State, error) { return NewState(), nil }
 
 func (*Memory) PutDoc(string, []byte, *docspanner.Document, bool, int, time.Time) error { return nil }
-func (*Memory) EditDoc(string, string, *docspanner.Document, int, time.Time) error     { return nil }
-func (*Memory) DeleteDoc(string) error                                                 { return nil }
-func (*Memory) PutQuery(string, []byte, time.Time) error                               { return nil }
-func (*Memory) DeleteQuery(string) error                                               { return nil }
-func (*Memory) PutView(string, string) error                                           { return nil }
-func (*Memory) DeleteView(string, string) error                                        { return nil }
-func (*Memory) Sync() error                                                            { return nil }
-func (*Memory) Snapshot() error                                                        { return nil }
-func (*Memory) Close() error                                                           { return nil }
+func (*Memory) EditDoc(string, string, *docspanner.Document, int, time.Time) error      { return nil }
+func (*Memory) DeleteDoc(string) error                                                  { return nil }
+func (*Memory) PutQuery(string, []byte, time.Time) error                                { return nil }
+func (*Memory) DeleteQuery(string) error                                                { return nil }
+func (*Memory) PutView(string, string) error                                            { return nil }
+func (*Memory) DeleteView(string, string) error                                         { return nil }
+func (*Memory) Sync() error                                                             { return nil }
+func (*Memory) Snapshot() error                                                         { return nil }
+func (*Memory) Close() error                                                            { return nil }
 
 func (*Memory) Stats() Stats { return Stats{Kind: "memory"} }

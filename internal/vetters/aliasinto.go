@@ -5,21 +5,20 @@ import (
 )
 
 // AliasInto is the static complement of the runtime aliasing panics in
-// the BoolMatrix Into-kernels (internal/automata): MulInto,
-// MulTransposedInto, and TransposeInto require the destination
-// (receiver) to be distinct from every source operand, and
-// ApplyLeftInto/ApplyRightInto require dst and v to be distinct slices
-// — the blocked Four-Russians kernels read sources while writing the
-// destination, so an aliased call silently computes garbage (which is
-// why the kernels panic at runtime). This analyzer flags call sites
+// the BoolMatrix Into-kernels (internal/automata): MulInto requires the
+// destination (receiver) to be distinct from both source operands, and
+// ApplyRightInto requires dst and v to be distinct slices — the kernels
+// clear the destination and then read the sources while writing it, so
+// an aliased call would silently compute garbage (which is why the
+// kernels panic at runtime). This analyzer flags call sites
 // where the destination provably aliases a source: the same variable,
 // field chain, or index expression. The check is name+arity based, so
 // it guards any implementation of the kernel contract, not just the
 // one in internal/automata.
 var AliasInto = &Analyzer{
 	Name: "aliasinto",
-	Doc: "flags MulInto/MulTransposedInto/TransposeInto calls whose receiver (the destination) " +
-		"aliases a source operand, and ApplyLeftInto/ApplyRightInto calls where dst aliases v; " +
+	Doc: "flags MulInto calls whose receiver (the destination) aliases a source operand, " +
+		"and ApplyRightInto calls where dst aliases v; " +
 		"such calls panic at runtime (internal/automata aliasing contract)",
 	Run: runAliasInto,
 }
@@ -31,11 +30,8 @@ var intoKernels = map[string]struct {
 	args     int
 	dstIsArg bool
 }{
-	"MulInto":           {args: 2},
-	"MulTransposedInto": {args: 2},
-	"TransposeInto":     {args: 1},
-	"ApplyLeftInto":     {args: 2, dstIsArg: true},
-	"ApplyRightInto":    {args: 2, dstIsArg: true},
+	"MulInto":        {args: 2},
+	"ApplyRightInto": {args: 2, dstIsArg: true},
 }
 
 func runAliasInto(p *Pass) {

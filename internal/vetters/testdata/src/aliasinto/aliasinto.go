@@ -5,16 +5,12 @@ package aliasinto
 
 type Matrix struct{ bits []uint64 }
 
-func (m *Matrix) MulInto(a, b *Matrix)           {}
-func (m *Matrix) MulTransposedInto(a, b *Matrix) {}
-func (m *Matrix) TransposeInto(a *Matrix)        {}
+func (m *Matrix) MulInto(a, b *Matrix) {}
 
-func ApplyLeftInto(dst, v []uint64)  {}
 func ApplyRightInto(dst, v []uint64) {}
 
 type kernels struct{}
 
-func (kernels) ApplyLeftInto(dst, v []uint64)  {}
 func (kernels) ApplyRightInto(dst, v []uint64) {}
 
 type wrapper struct {
@@ -23,28 +19,25 @@ type wrapper struct {
 }
 
 func bad(x, y *Matrix, w *wrapper, k kernels) {
-	x.MulInto(x, y)           // want `destination x aliases source operand x`
-	x.MulInto(y, x)           // want `destination x aliases source operand x`
-	x.MulTransposedInto(x, x) // want `destination x aliases source operand x`
-	x.TransposeInto(x)        // want `destination x aliases source operand x`
+	x.MulInto(x, y) // want `destination x aliases source operand x`
+	x.MulInto(y, x) // want `destination x aliases source operand x`
+	x.MulInto(x, x) // want `destination x aliases source operand x`
 
 	w.scratch.MulInto(w.scratch, y) // want `destination w\.scratch aliases source operand w\.scratch`
 
-	k.ApplyLeftInto(w.vec, w.vec)  // want `dst w\.vec aliases the source vector`
 	k.ApplyRightInto(w.vec, w.vec) // want `dst w\.vec aliases the source vector`
 }
 
 func good(x, y, z *Matrix, w *wrapper, k kernels, u []uint64) {
 	x.MulInto(y, z)
-	x.MulTransposedInto(y, y) // sources may alias each other; only dst must be distinct
-	x.TransposeInto(y)
+	x.MulInto(y, y) // sources may alias each other; only dst must be distinct
 	w.scratch.MulInto(y, z)
-	k.ApplyLeftInto(w.vec, u)
+	k.ApplyRightInto(w.vec, u)
 	k.ApplyRightInto(u, w.vec)
 	// Plain function call (not a method): not a kernel call site.
-	ApplyLeftInto(u, u)
+	ApplyRightInto(u, u)
 }
 
 func suppressed(x *Matrix) {
-	x.TransposeInto(x) //spanvet:ignore aliasinto
+	x.MulInto(x, x) //spanvet:ignore aliasinto
 }
