@@ -8,6 +8,7 @@ import (
 	"docspanner/internal/automata"
 	"docspanner/internal/regex"
 	"docspanner/internal/slp"
+	"docspanner/internal/slpmatch"
 	"docspanner/internal/spans"
 	"docspanner/internal/vset"
 )
@@ -173,9 +174,9 @@ func TestPlanOwnsItsIndex(t *testing.T) {
 	if n := ix.CachedNodes(); n != 0 {
 		t.Fatalf("fresh index has %d cached nodes", n)
 	}
-	root := slp.Repeat(slp.FromBytes([]byte("a")), 16)
-	if got, _ := pl.CountPoll(SLP(root, nil), nil); got != 16 {
-		t.Errorf("Count = %d, want 16", got)
+	root := slp.Repeat(slp.FromBytes([]byte("a")), 256) // longer than a block
+	if got, _ := pl.CountPoll(SLP(root, nil), nil); got != 256 {
+		t.Errorf("Count = %d, want 256", got)
 	}
 	if ix.CachedNodes() == 0 {
 		t.Error("evaluation on an SLP source did not fill the plan's index")
@@ -197,7 +198,7 @@ func TestFlushAndRetainReachEveryScan(t *testing.T) {
 	if _, ok := pl.Index(); ok {
 		t.Fatalf("selection plan collapsed to a single scan:\n%s", pl.Explain())
 	}
-	text := []byte(strings.Repeat("abbab", 1<<9))
+	text := []byte(strings.Repeat("abbab", 1<<14)) // past RetainFloor in tabled nodes
 	root := slp.FromBytes(text)
 	want := pl.Eval(Text(text))
 	eval := func() {
@@ -207,7 +208,7 @@ func TestFlushAndRetainReachEveryScan(t *testing.T) {
 		}
 	}
 	eval()
-	inner := root.Size() - 2 // the two leaves a and b are in no table
+	inner := slpmatch.TabledNodes(root) // the nodes longer than a block
 	if n := pl.CachedNodes(); n != inner {
 		t.Fatalf("CachedNodes after SLP evaluation = %d, want %d", n, inner)
 	}

@@ -250,7 +250,7 @@ func (m *metrics) writeProm(w io.Writer, docs, queries, views, indexNodes int, s
 	fmt.Fprintf(w, "# HELP spannerd_matrix_cache_hit_rate slpmatch matrix-cache hit rate since process start.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_matrix_cache_hit_rate gauge\n")
 	fmt.Fprintf(w, "spannerd_matrix_cache_hit_rate %s\n", rate(mh, mm))
-	fmt.Fprintf(w, "# HELP spannerd_index_nodes SLP nodes with data in the per-node tables of every registered query (scan indexes and exact counters).\n")
+	fmt.Fprintf(w, "# HELP spannerd_index_nodes SLP nodes with a table in every registered query: in scan indexes the SLP nodes longer than B with a table (B = the index's block length, 32 bytes), in exact counters every inner node.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_index_nodes gauge\n")
 	fmt.Fprintf(w, "spannerd_index_nodes %d\n", indexNodes)
 	fmt.Fprintf(w, "# HELP spannerd_index_forgotten_nodes_total Per-node table entries deleted by sweeps after mutations superseded or deleted document versions (process-wide).\n")

@@ -141,6 +141,18 @@ func TestViewLifecycle(t *testing.T) {
 	if body["version"] != float64(2) || body["count"] != float64(2) {
 		t.Fatalf("view after edit: %v", body)
 	}
+
+	// A refresh computes tables once the document is longer than the
+	// index's blocks: pad d to a few hundred bytes.
+	code, _ = do(t, s, "PUT", "/docs/pad?compress=1", strings.Repeat("a", 256))
+	mustStatus(t, code, 200, "put pad")
+	code, _ = do(t, s, "POST", "/docs/d/edit", `{"expr": "concat(d, pad)"}`)
+	mustStatus(t, code, 200, "pad d")
+	code, body = do(t, s, "GET", "/docs/d/views/q", "")
+	mustStatus(t, code, 200, "get view after padding")
+	if body["version"] != float64(3) || body["count"] != float64(2) {
+		t.Fatalf("view after padding: %v", body)
+	}
 	if body["recomputed_nodes"] == float64(0) {
 		t.Fatalf("refresh did no work: %v", body)
 	}

@@ -31,12 +31,23 @@ import (
 // an entry whose node is still live costs a recomputation and nothing
 // else, exactly as after a Flush.
 //
+// Which nodes a table holds. A Matcher's or Counter's table holds every
+// inner node it has seen; an Index's holds only the inner nodes longer
+// than blockLen, and reads the text of the shorter ones (see Index).
+// Every traversal below stops at a node its table never holds, so a
+// block is never "uncached" and nothing below it is visited.
+//
 // The node→value tables are sharded maps under RWMutexes. Lookups of a
 // missing node release the lock, compute, and store; concurrent
 // computation of the same node is possible but harmless — the computed
 // values are equal, and last-write-wins keeps the table consistent.
 
 const cacheShards = 64
+
+// shardHint presizes each shard's map, so warming a fresh or flushed
+// table skips each shard's first regrowths — with an Index's few long
+// nodes, those would be a tenth of an allocation per node.
+const shardHint = 32
 
 // cacheTraffic counts table hits and misses for the whole process, per
 // shard on its own cache line, so the hot lookup path never contends on
@@ -79,7 +90,9 @@ var forgottenTotal atomic.Uint64
 func ForgottenNodes() uint64 { return forgottenTotal.Load() }
 
 // nodeCache is a sharded concurrent map from SLP nodes to per-node data.
+// It holds only inner nodes longer than block bytes.
 type nodeCache[V any] struct {
+	block  int64
 	shards [cacheShards]struct {
 		mu sync.RWMutex
 		m  map[*slp.Node]V
@@ -89,10 +102,10 @@ type nodeCache[V any] struct {
 	kept    int
 }
 
-func newNodeCache[V any]() *nodeCache[V] {
-	c := &nodeCache[V]{}
+func newNodeCache[V any](block int64) *nodeCache[V] {
+	c := &nodeCache[V]{block: block}
 	for i := range c.shards {
-		c.shards[i].m = make(map[*slp.Node]V)
+		c.shards[i].m = make(map[*slp.Node]V, shardHint)
 	}
 	return c
 }
@@ -103,6 +116,20 @@ func newNodeCache[V any]() *nodeCache[V] {
 func shardOf(n *slp.Node) int {
 	p := uintptr(unsafe.Pointer(n))
 	return int((p>>4)^(p>>13)) & (cacheShards - 1)
+}
+
+// tabled reports whether a table with block length block holds n once
+// it is computed: an inner node longer than block.
+func tabled(n *slp.Node, block int64) bool {
+	return n != nil && !n.IsLeaf() && n.Len() > block
+}
+
+func (c *nodeCache[V]) tabled(n *slp.Node) bool { return tabled(n, c.block) }
+
+// has reports whether n's data is in the table.
+func (c *nodeCache[V]) has(n *slp.Node) bool {
+	_, ok := c.get(n)
+	return ok
 }
 
 func (c *nodeCache[V]) get(n *slp.Node) (V, bool) {
@@ -134,7 +161,7 @@ func (c *nodeCache[V]) flush() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.m = make(map[*slp.Node]V)
+		s.m = make(map[*slp.Node]V, shardHint)
 		s.mu.Unlock()
 	}
 }
@@ -152,7 +179,7 @@ func (c *nodeCache[V]) retain(live []*slp.Node) int {
 	if n < RetainFloor || float64(n) < retainGrowth*float64(c.kept) {
 		return 0
 	}
-	reach := reachable(live, n)
+	reach := reachable(live, c.block, n)
 	kept, forgotten := 0, 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -174,15 +201,16 @@ func (c *nodeCache[V]) retain(live []*slp.Node) int {
 	return forgotten
 }
 
-// reachable returns the set of inner nodes of the DAGs rooted at roots;
-// hint is the expected size.
-func reachable(roots []*slp.Node, hint int) map[*slp.Node]struct{} {
+// reachable returns the set of nodes a table with block length block
+// holds in the DAGs rooted at roots, descending no further; hint is the
+// expected size.
+func reachable(roots []*slp.Node, block int64, hint int) map[*slp.Node]struct{} {
 	seen := make(map[*slp.Node]struct{}, hint)
 	stack := append([]*slp.Node(nil), roots...)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n == nil || n.IsLeaf() {
+		if !tabled(n, block) {
 			continue
 		}
 		if _, ok := seen[n]; ok {
@@ -245,7 +273,7 @@ func WarmDeltaStats() (recomputed, reused uint64) {
 	return warmRecomputedTotal.Load(), warmReusedTotal.Load()
 }
 
-// warmDelta computes per-node data for the inner nodes of newRoot that
+// warmDelta computes per-node data for the tabled nodes of newRoot that
 // are not yet cached, pruning the traversal at cached nodes: after a CDE
 // edit of a warmed document only the O(log d) fresh spine nodes are
 // uncached, so the walk touches the spine plus its cached boundary and
@@ -257,8 +285,8 @@ func WarmDeltaStats() (recomputed, reused uint64) {
 //
 // The spine is processed sequentially: it is O(ord) nodes, far below the
 // level-parallel threshold that pays off in warmParallel.
-func warmDelta(oldRoot, newRoot *slp.Node, cached func(*slp.Node) bool, ensure, compute func(*slp.Node)) WarmStats {
-	var st WarmStats
+func (c *nodeCache[V]) warmDelta(oldRoot, newRoot *slp.Node, ensure, compute func(*slp.Node)) WarmStats {
+	st := WarmStats{CachedBefore: c.len()}
 	if newRoot == nil {
 		return st
 	}
@@ -268,11 +296,11 @@ func warmDelta(oldRoot, newRoot *slp.Node, cached func(*slp.Node) bool, ensure, 
 	seen := map[*slp.Node]bool{}
 	var visit func(n *slp.Node)
 	visit = func(n *slp.Node) {
-		if n == nil || n.IsLeaf() || seen[n] {
+		if !c.tabled(n) || seen[n] {
 			return
 		}
 		seen[n] = true
-		if cached(n) {
+		if c.has(n) {
 			st.Reused++
 			return
 		}
@@ -287,16 +315,16 @@ func warmDelta(oldRoot, newRoot *slp.Node, cached func(*slp.Node) bool, ensure, 
 	return st
 }
 
-// collectByOrder gathers the distinct unseen inner nodes of root's DAG,
+// collectByOrder gathers the distinct uncached tabled nodes of root's DAG,
 // grouped by Order. Order(n) = 1 + max(order of children), so all nodes
 // of one order are pairwise independent: level-by-level processing gives
 // a race-free parallel bottom-up schedule.
-func collectByOrder(root *slp.Node, cached func(*slp.Node) bool) [][]*slp.Node {
+func (c *nodeCache[V]) collectByOrder(root *slp.Node) [][]*slp.Node {
 	var levels [][]*slp.Node
 	seen := map[*slp.Node]bool{}
 	var visit func(n *slp.Node)
 	visit = func(n *slp.Node) {
-		if n == nil || n.IsLeaf() || seen[n] || cached(n) {
+		if !c.tabled(n) || seen[n] || c.has(n) {
 			return
 		}
 		seen[n] = true
@@ -312,22 +340,26 @@ func collectByOrder(root *slp.Node, cached func(*slp.Node) bool) [][]*slp.Node {
 	return levels
 }
 
-// warmParallel computes per-node data for all uncached inner nodes of
-// root bottom-up, fanning each order-level out over workers. compute
-// must derive n's data from its children's (already cached) data and
-// store it.
-func warmParallel(root *slp.Node, workers int, cached func(*slp.Node) bool, compute func(*slp.Node)) {
-	levels := collectByOrder(root, cached)
+// warmParallel computes per-node data for all uncached tabled nodes of
+// root bottom-up, fanning each order-level out over workers. Each worker
+// calls worker once for its compute function, which must derive n's data
+// from its children's (already cached) data and store it.
+func (c *nodeCache[V]) warmParallel(root *slp.Node, workers int, worker func() func(*slp.Node)) {
+	levels := c.collectByOrder(root)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	var seq func(*slp.Node)
 	for _, level := range levels {
 		if len(level) == 0 {
 			continue
 		}
 		if workers == 1 || len(level) == 1 {
+			if seq == nil {
+				seq = worker()
+			}
 			for _, n := range level {
-				compute(n)
+				seq(n)
 			}
 			continue
 		}
@@ -345,6 +377,7 @@ func warmParallel(root *slp.Node, workers int, cached func(*slp.Node) bool, comp
 		for i := 0; i < w; i++ {
 			go func() {
 				defer wg.Done()
+				compute := worker()
 				for n := range ch {
 					compute(n)
 				}

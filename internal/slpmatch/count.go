@@ -33,7 +33,7 @@ type countMatrix []*big.Int
 func NewCounter(d *automata.DEVA) *Counter {
 	c := d.Compiled()
 	nq := c.NQ
-	ct := &Counter{c: c, nq: nq, memo: newNodeCache[countMatrix]()}
+	ct := &Counter{c: c, nq: nq, memo: newNodeCache[countMatrix](0)}
 
 	zero := make(countMatrix, nq*nq)
 	for b := range ct.leaf {
@@ -135,13 +135,8 @@ func (ct *Counter) Retain(live []*slp.Node) int { return ct.memo.retain(live) }
 // final-vector product. A nil oldRoot warms newRoot from whatever is
 // cached.
 func (ct *Counter) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
-	before := ct.memo.len()
-	st := warmDelta(oldRoot, newRoot,
-		func(n *slp.Node) bool { _, ok := ct.memo.get(n); return ok },
-		func(n *slp.Node) { ct.nodeMatrix(n) },
-		func(n *slp.Node) { ct.nodeMatrix(n) })
-	st.CachedBefore = before
-	return st
+	compute := func(n *slp.Node) { ct.nodeMatrix(n) }
+	return ct.memo.warmDelta(oldRoot, newRoot, compute, compute)
 }
 
 // Count returns the exact number of result tuples of the spanner on

@@ -6,36 +6,112 @@ import (
 	"docspanner/internal/spans"
 )
 
-// refEach is Index.Each on the reference walk.
-func refEach(ix *Index, root *slp.Node, f func(spans.Tuple) bool) {
-	ix.Warm(root)
-	e := &refEnum{cenum{ix: ix, root: root, emit: f}}
+// refData is the P/E/E⁺ data of one SLP node, leaf or inner, of any
+// length: the reference walk's own table, independent of the Index's,
+// which holds only the long nodes.
+type refData struct {
+	pure   []int32
+	em, ep *automata.BoolMatrix
+}
+
+// refTable computes refData for every node of root's DAG by the
+// definitions, with Get/Set loops: a leaf's from the automaton's steps
+// and mask edges, an inner node AB's as P_AB = P_B∘P_A, E_AB = E_A·E_B
+// and E⁺_AB = E⁺_A·E_B ∨ P_A;E⁺_B.
+func refTable(ix *Index, root *slp.Node) map[*slp.Node]*refData {
+	c, nq := ix.c, ix.nq
+	tab := map[*slp.Node]*refData{}
+	var data func(n *slp.Node) *refData
+	data = func(n *slp.Node) *refData {
+		if d, ok := tab[n]; ok {
+			return d
+		}
+		d := &refData{pure: make([]int32, nq), em: automata.NewBoolMatrix(nq), ep: automata.NewBoolMatrix(nq)}
+		if n.IsLeaf() {
+			b := n.LeafByte()
+			for q := 0; q < nq; q++ {
+				d.pure[q] = c.Step(q, b)
+				if s := d.pure[q]; s >= 0 {
+					d.em.Set(q, int(s))
+				}
+				for _, me := range c.MaskEdges[q] {
+					if s := c.Step(int(me.To), b); s >= 0 {
+						d.em.Set(q, int(s))
+						d.ep.Set(q, int(s))
+					}
+				}
+			}
+		} else {
+			l, r := data(n.Left()), data(n.Right())
+			for p := 0; p < nq; p++ {
+				d.pure[p] = -1
+				if s := l.pure[p]; s >= 0 {
+					d.pure[p] = r.pure[s]
+					for q := 0; q < nq; q++ {
+						if r.ep.Get(int(s), q) {
+							d.ep.Set(p, q)
+						}
+					}
+				}
+				for k := 0; k < nq; k++ {
+					lm, lp := l.em.Get(p, k), l.ep.Get(p, k)
+					if !lm && !lp {
+						continue
+					}
+					for q := 0; q < nq; q++ {
+						if r.em.Get(k, q) {
+							if lm {
+								d.em.Set(p, q)
+							}
+							if lp {
+								d.ep.Set(p, q)
+							}
+						}
+					}
+				}
+			}
+		}
+		tab[n] = d
+		return d
+	}
+	if root != nil {
+		data(root)
+	}
+	return tab
+}
+
+// refEach is Index.Each on the reference walk over the table tab.
+func refEach(ix *Index, tab map[*slp.Node]*refData, root *slp.Node, f func(spans.Tuple) bool) {
+	e := &refEnum{cenum: cenum{ix: ix, root: root, emit: f}, tab: tab}
 	events := make([]event, 0, 2*len(ix.c.DEVA.Index.Vars())+1)
 	e.dfs(ix.c.Start, 0, events, 0)
 }
 
-// refCountTotal is Index.CountTotal on the reference walk.
-func refCountTotal(ix *Index, root *slp.Node, vars spans.VarSet, poll func() bool) (int, bool) {
+// refCountTotal is Index.CountTotal on the reference walk over tab.
+func refCountTotal(ix *Index, tab map[*slp.Node]*refData, root *slp.Node, vars spans.VarSet, poll func() bool) (int, bool) {
 	need, ok := ix.c.DEVA.Index.OpenBits(vars)
 	if !ok {
 		return 0, true
 	}
-	ix.Warm(root)
-	e := &refEnum{cenum{ix: ix, root: root, countOnly: true, need: need, poll: poll}}
+	e := &refEnum{cenum: cenum{ix: ix, root: root, countOnly: true, need: need, poll: poll}, tab: tab}
 	e.dfs(ix.c.Start, 0, nil, 0)
 	return e.count, !e.aborted
 }
 
 // refEnum is the walk this package had before the frame-resuming one:
 // every fired event re-descends from the root to the boundary after it,
-// pulling the alive vector back level by level. It stays as the oracle
-// for the ORDER of Index.Each and for CountTotal's partial counts under
+// pulling the alive vector back level by level, and it descends to the
+// leaves instead of reading blocks as text. It stays as the oracle for
+// the ORDER of Index.Each and for CountTotal's partial counts under
 // early stop and poll abort. It borrows cenum's fields and helpers
 // (counting, finish) and replaces only the walk, which looks node data
-// up in the index's table and pulls alive vectors back by the
+// up in its own table (refTable) and pulls alive vectors back by the
 // definition of the matrix-vector product, not by the kernel the walk
 // uses.
-type refEnum struct{ cenum }
+type refEnum struct {
+	cenum
+	tab map[*slp.Node]*refData
+}
 
 // dfs enumerates all accepting runs from state q at absolute boundary
 // pos, with the given event prefix (or accumulated mask when counting);
@@ -64,11 +140,9 @@ func (e *refEnum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, even
 	if e.aborted {
 		return -1
 	}
-	ix := e.ix
 	if a.IsLeaf() {
-		b := a.LeafByte()
-		steps := ix.leaf[b].pure
-		for _, me := range ix.c.MaskEdges[q] {
+		steps := e.tab[a].pure
+		for _, me := range e.ix.c.MaskEdges[q] {
 			s := steps[me.To]
 			if s < 0 || !vecGet(av, int(s)) {
 				continue
@@ -92,8 +166,8 @@ func (e *refEnum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, even
 	// Prune whole subtrees without productive events (only valid from
 	// offset 0, where E⁺ describes the whole node).
 	if i == 0 {
-		nd := e.ix.node(a)
-		if !rowMeets(&nd.ep, q, av) {
+		nd := e.tab[a]
+		if !vecMeets(nd.ep, q, av) {
 			return nd.pure[q]
 		}
 	}
@@ -101,14 +175,11 @@ func (e *refEnum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, even
 	// by the definition: p is alive before the right part iff E_R leads
 	// it to a state alive after it.
 	e.expanded++
-	em := &e.ix.node(a.Right()).em
+	em := e.tab[a.Right()].em
 	avL := automata.NewBitVec(em.N)
 	for p := 0; p < em.N; p++ {
-		for q := 0; q < em.N; q++ {
-			if em.Get(p, q) && vecGet(av, q) {
-				automata.BitSet(avL, p)
-				break
-			}
+		if vecMeets(em, p, av) {
+			automata.BitSet(avL, p)
 		}
 	}
 	ls := e.walk(a.Left(), q, i, avL, off, events, acc)
@@ -116,4 +187,14 @@ func (e *refEnum) walk(a *slp.Node, q int, i int64, av []uint64, off int64, even
 		return -1
 	}
 	return e.walk(a.Right(), int(ls), 0, av, off+llen, events, acc)
+}
+
+// vecMeets reports, by Get, whether row p of m meets the vector v.
+func vecMeets(m *automata.BoolMatrix, p int, v []uint64) bool {
+	for q := 0; q < m.N; q++ {
+		if m.Get(p, q) && vecGet(v, q) {
+			return true
+		}
+	}
+	return false
 }

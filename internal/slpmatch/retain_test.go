@@ -22,8 +22,16 @@ func randomDoc(rng *rand.Rand, n int) *slp.Node {
 	return slp.FromBytes(b)
 }
 
-// innerNodes counts the distinct inner nodes of the DAGs under roots.
-func innerNodes(roots ...*slp.Node) int {
+// innerNodes counts the distinct inner nodes of the DAGs under roots:
+// the nodes a Counter or Matcher keeps a table for.
+func innerNodes(roots ...*slp.Node) int { return nodesLongerThan(1, roots...) }
+
+// longNodes counts the distinct nodes longer than blockLen of the DAGs
+// under roots — the nodes an Index keeps a table for — by the
+// definition, with no table code.
+func longNodes(roots ...*slp.Node) int { return nodesLongerThan(blockLen, roots...) }
+
+func nodesLongerThan(b int64, roots ...*slp.Node) int {
 	seen := map[*slp.Node]bool{}
 	var visit func(n *slp.Node)
 	visit = func(n *slp.Node) {
@@ -37,21 +45,29 @@ func innerNodes(roots ...*slp.Node) int {
 	for _, r := range roots {
 		visit(r)
 	}
-	return len(seen)
+	n := 0
+	for m := range seen {
+		if m.Len() > b {
+			n++
+		}
+	}
+	return n
 }
 
 // TestRetainDropsOnlyUnreachable warms an Index and a Counter on a
 // document, two edits of it and an unrelated document, then keeps the
 // last edit and the unrelated document: a sweep leaves exactly their
-// inner nodes, re-warming them misses nothing, and a second sweep right
-// away is within budget and does nothing.
+// tabled nodes (the Index's long ones, the Counter's inner ones),
+// re-warming them misses nothing, and a second sweep right away is
+// within budget and does nothing. The documents hold a few thousand
+// long nodes, so the Index's table passes RetainFloor.
 func TestRetainDropsOnlyUnreachable(t *testing.T) {
 	d := spannerDEVA(t, ".*!x{ab}.*")
 	rng := rand.New(rand.NewSource(7))
-	v0 := randomDoc(rng, 4<<10)
+	v0 := randomDoc(rng, 64<<10)
 	v1 := insertAt(v0, 1000, "abba")
 	v2 := deleteAt(v1, 3000, 500)
-	other := randomDoc(rng, 2<<10)
+	other := randomDoc(rng, 32<<10)
 	all := []*slp.Node{v0, v1, v2, other}
 	live := []*slp.Node{v2, other}
 
@@ -60,18 +76,18 @@ func TestRetainDropsOnlyUnreachable(t *testing.T) {
 		ix.Warm(r)
 		ct.Count(r)
 	}
-	if got, want := ix.CachedNodes(), innerNodes(all...); got != want {
+	if got, want := ix.CachedNodes(), longNodes(all...); got != want {
 		t.Fatalf("CachedNodes after warming = %d, want %d", got, want)
 	}
 	wantCount := ix.Count(v2)
 
 	f0 := ForgottenNodes()
 	forgotten := ix.Retain(live)
-	liveInner := innerNodes(live...)
-	if got := ix.CachedNodes(); got != liveInner {
-		t.Errorf("Index: CachedNodes after Retain = %d, want the %d live inner nodes", got, liveInner)
+	liveLong, liveInner := longNodes(live...), innerNodes(live...)
+	if got := ix.CachedNodes(); got != liveLong {
+		t.Errorf("Index: CachedNodes after Retain = %d, want the %d live long nodes", got, liveLong)
 	}
-	if want := innerNodes(all...) - liveInner; forgotten != want {
+	if want := longNodes(all...) - liveLong; forgotten != want {
 		t.Errorf("Index: Retain forgot %d nodes, want %d", forgotten, want)
 	}
 	ctForgotten := ct.Retain(live)
@@ -107,9 +123,9 @@ func TestRetainDropsOnlyUnreachable(t *testing.T) {
 	}
 	// A new document grows the table past the budget, so the next sweep
 	// runs and forgets it together with v0's recomputed spine.
-	extra := randomDoc(rng, 4<<10)
+	extra := randomDoc(rng, 64<<10)
 	ix.Warm(extra)
-	if n, want := ix.Retain(live), innerNodes(v0, extra, v2, other)-liveInner; n != want {
+	if n, want := ix.Retain(live), longNodes(v0, extra, v2, other)-liveLong; n != want {
 		t.Errorf("Retain past budget forgot %d nodes, want %d", n, want)
 	}
 }
@@ -133,7 +149,7 @@ func TestRetainBelowFloor(t *testing.T) {
 func TestRetainWhileInUse(t *testing.T) {
 	d := spannerDEVA(t, ".*!x{ab}.*")
 	rng := rand.New(rand.NewSource(11))
-	versions := []*slp.Node{randomDoc(rng, 2<<10)}
+	versions := []*slp.Node{randomDoc(rng, 64<<10)} // past RetainFloor in long nodes
 	for i := 0; i < 5; i++ {
 		prev := versions[len(versions)-1]
 		versions = append(versions, insertAt(prev, rng.Int63n(prev.Len()+1), "ab"))

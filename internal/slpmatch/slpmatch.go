@@ -12,7 +12,9 @@
 // Counter they belong to, so a persistent Index amortizes across the
 // documents of a database — and across goroutines — and is maintained
 // for free under CDE updates: an update adds O(log d) fresh nodes, and
-// only those need new matrices (Section 4.3). Sharing tables means
+// only those need new matrices (Section 4.3). An Index tables only the
+// nodes longer than a short block and reads shorter subtrees as text
+// (block.go). Sharing tables means
 // sharing the instance; dropping the instance frees them, and Retain
 // frees the data of document versions the database no longer holds.
 //
@@ -43,7 +45,7 @@ func NewMatcher(nfa *automata.NFA) (*Matcher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slpmatch: %w", err)
 	}
-	return &Matcher{c: c, memo: newNodeCache[*automata.BoolMatrix]()}, nil
+	return &Matcher{c: c, memo: newNodeCache[*automata.BoolMatrix](0)}, nil
 }
 
 // matrix returns (memoized) the reachability matrix for the derivation
@@ -89,11 +91,8 @@ func (m *Matcher) Warm(root *slp.Node) {
 // (GOMAXPROCS if workers ≤ 0). Nodes of equal order are independent, so
 // the schedule is race-free by construction.
 func (m *Matcher) WarmParallel(root *slp.Node, workers int) {
-	warmParallel(root, workers,
-		func(n *slp.Node) bool { _, ok := m.memo.get(n); return ok },
-		func(n *slp.Node) {
-			m.memo.put(n, m.matrix(n.Left()).Mul(m.matrix(n.Right())))
-		})
+	compute := func(n *slp.Node) { m.memo.put(n, m.matrix(n.Left()).Mul(m.matrix(n.Right()))) }
+	m.memo.warmParallel(root, workers, func() func(*slp.Node) { return compute })
 }
 
 // CachedNodes reports how many inner SLP nodes have matrices computed in
@@ -106,11 +105,5 @@ func (m *Matcher) CachedNodes() int { return m.memo.len() }
 // one (the subtrees the edit shares with oldRoot — hash-consed, so they
 // are free). A nil oldRoot warms newRoot from whatever is cached.
 func (m *Matcher) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
-	before := m.memo.len()
-	st := warmDelta(oldRoot, newRoot,
-		func(n *slp.Node) bool { _, ok := m.memo.get(n); return ok },
-		func(n *slp.Node) { m.matrix(n) },
-		func(n *slp.Node) { m.matrix(n) })
-	st.CachedBefore = before
-	return st
+	return m.memo.warmDelta(oldRoot, newRoot, m.Warm, func(n *slp.Node) { m.matrix(n) })
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,8 @@ func TestWarmDeltaMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		doc := []byte("abbaabababba")
+		// Twice blockLen, so every version has a long spine to recompute.
+		doc := []byte(strings.Repeat("abbaabababba", blockLen/6))
 		root := slp.Balance(slp.Compress(doc))
 		ix.Warm(root)
 		m.Warm(root)
@@ -106,7 +108,7 @@ func TestWarmDeltaSpineIsLogarithmic(t *testing.T) {
 		}
 		root := slp.FromBytes(doc) // balanced, 2n−1 nodes, order ~log n
 		ix.WarmParallel(root, 0)
-		inner := n - 1
+		inner := longNodes(root)
 
 		logN := math.Log2(float64(n))
 		budget := int(6*logN + 24) // generous constant; rejects any O(n) regression
@@ -121,7 +123,7 @@ func TestWarmDeltaSpineIsLogarithmic(t *testing.T) {
 				t.Fatalf("n=%d edit %d: no reused subtree boundary — sharing broken", n, edit)
 			}
 			if st.CachedBefore < inner {
-				t.Fatalf("n=%d edit %d: CachedBefore = %d, want ≥ %d (the pre-edit DAG)", n, edit, st.CachedBefore, inner)
+				t.Fatalf("n=%d edit %d: CachedBefore = %d, want ≥ %d (the pre-edit DAG's long nodes)", n, edit, st.CachedBefore, inner)
 			}
 		}
 	}
@@ -133,7 +135,7 @@ func TestWarmDeltaSpineIsLogarithmic(t *testing.T) {
 func TestWarmDeltaColdBaseline(t *testing.T) {
 	d := spannerDEVA(t, ".*!x{ab}.*")
 	ix := NewIndex(d)
-	doc := []byte("abababbaab")
+	doc := []byte(strings.Repeat("abababbaab", blockLen/5)) // twice blockLen
 	root := slp.Balance(slp.Compress(doc))
 	st := ix.WarmDelta(nil, root)
 	if st.Recomputed == 0 {

@@ -2,6 +2,7 @@ package views
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +25,8 @@ func TestViewRefreshTracksEdits(t *testing.T) {
 	s := docspanner.MustCompile(".*!x{ab}.*", docspanner.Options{Alphabet: []byte("ab")})
 
 	db := docspanner.NewDocDB()
-	db.Add("d", docspanner.CompressDocument([]byte("abba")))
+	// Longer than the index's blocks, so every refresh computes tables.
+	db.Add("d", docspanner.CompressDocument([]byte(strings.Repeat("abba", 64))))
 	doc, _ := db.Get("d")
 
 	v, created, _ := set.Register("d", "q", ix, nil)

@@ -157,26 +157,30 @@ func TestQueryRetainSweepsIndexAndCounter(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	version := func() *docspanner.Document {
-		b := make([]byte, 8<<10)
+		// Long enough that the index's tables pass RetainFloor too.
+		b := make([]byte, 16<<10)
 		for i := range b {
 			b[i] = "ab"[rng.Intn(2)]
 		}
 		return docspanner.CompressDocument(b)
 	}
 	old, cur := version(), version()
+	// The counter keeps a table for every inner node, the index for the
+	// long ones (slpmatch.TabledNodes).
 	inner := func(d *docspanner.Document) int { return d.GrammarSize() - 2 } // leaves a, b
+	tabled := func(d *docspanner.Document) int { return slpmatch.TabledNodes(d.Node()) }
 	for _, d := range []*docspanner.Document{old, cur} {
 		if got, want := ix.ExactCount(d).Int64(), int64(q.CountCompressed(d)); got != want {
 			t.Fatalf("ExactCount = %d, CountCompressed = %d", got, want)
 		}
 	}
-	if got, want := q.CachedNodes(), 2*(inner(old)+inner(cur)); got != want {
+	if got, want := q.CachedNodes(), inner(old)+inner(cur)+tabled(old)+tabled(cur); got != want {
 		t.Fatalf("CachedNodes = %d, want %d (index and counter over two versions)", got, want)
 	}
-	if got, want := q.Retain([]*docspanner.Document{cur}), 2*inner(old); got != want {
+	if got, want := q.Retain([]*docspanner.Document{cur}), inner(old)+tabled(old); got != want {
 		t.Errorf("Retain forgot %d nodes, want %d", got, want)
 	}
-	if got, want := q.CachedNodes(), 2*inner(cur); got != want {
+	if got, want := q.CachedNodes(), inner(cur)+tabled(cur); got != want {
 		t.Errorf("CachedNodes after Retain = %d, want %d", got, want)
 	}
 }
