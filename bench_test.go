@@ -166,28 +166,26 @@ func BenchmarkE2CompressedEnumDelay(b *testing.B) {
 
 // ---------- E3: compressed membership vs decompress-and-run ----------
 
+// E3 decides membership by NonEmpty on an Index over the DEVA of a
+// variable-free pattern: the index's per-node matrices are Section 4.2's,
+// so states counts DEVA states. The second pattern has more than 64, so
+// every matrix row spans several words.
 func BenchmarkE3CompressedMembership(b *testing.B) {
-	nfa := compileBench(b, "(ab)*", "ab")
-	// Small (8-state) and large (≥ 64-state) NFAs; see E2 for rationale.
-	for _, pat := range []string{"(ab)*", strings.Repeat("(a|b)", 16) + "(ab)*"} {
-		big := compileBench(b, pat, "ab")
+	for _, pat := range []string{"(ab)*", strings.Repeat("(a|b)", 32) + "(ab)*"} {
+		d := automata.Determinize(compileBench(b, pat, "ab"))
 		for _, exp := range []int{12, 16, 20, 22} {
 			n := int64(1) << exp
 			root := slp.Repeat(slp.FromBytes([]byte("ab")), n/2)
-			b.Run(fmt.Sprintf("compressed/states=%d/n=2^%d", big.NumStates(), exp), func(b *testing.B) {
+			b.Run(fmt.Sprintf("compressed/states=%d/n=2^%d", d.NumStates(), exp), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m, err := slpmatch.NewMatcher(big)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !m.Accepts(root) {
+					if !slpmatch.NewIndex(d).NonEmpty(root) {
 						b.Fatal("rejected")
 					}
 				}
 			})
 		}
 	}
-	d := automata.Determinize(nfa)
+	d := automata.Determinize(compileBench(b, "(ab)*", "ab"))
 	for _, exp := range []int{12, 16, 20, 22} {
 		n := 1 << exp
 		doc := periodicDoc(n)

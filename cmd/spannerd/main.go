@@ -52,6 +52,7 @@
 //	POST   /docs/{name}/warm?query=q compressed-evaluation preprocessing
 //	GET    /queries                  list prepared queries
 //	PUT    /queries/{name}           register {"src": pattern-or-expr, ...}
+//	GET    /queries/{name}           the registered query's metadata
 //	GET    /queries/{name}/explain   the planned physical query
 //	DELETE /queries/{name}           unregister
 //	GET    /eval?query=q&doc=d       materialized result (sorted JSON)
@@ -60,6 +61,7 @@
 //	GET    /stream?query=q&docs=a,b  merged cross-document stream (coordinator)
 //	POST   /batch                    {"query", "docs": [...], "workers"}
 //	GET    /views                    list all live views
+//	GET    /docs/{name}/views        list the document's live views
 //	PUT    /docs/{name}/views/{q}    register a live view, refresh inline
 //	GET    /docs/{name}/views/{q}    version-stamped result [?tuples=1]
 //	DELETE /docs/{name}/views/{q}    drop a view

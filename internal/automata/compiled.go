@@ -1,22 +1,19 @@
 package automata
 
 import (
-	"fmt"
 	"sort"
 
 	"docspanner/internal/refwords"
 )
 
-// Compiled transition kernels. The map-based transition tables of NFA and
-// DEVA are the right representation while an automaton is being built and
+// Compiled transition kernels. The map-based transition tables of a DEVA
+// are the right representation while an automaton is being built and
 // transformed, but they are a poor fit for the evaluation hot paths: every
-// Step is a hash lookup, and the compressed-evaluation kernel (Section 4.2
-// of the survey) re-derived its per-letter Boolean matrices for every new
-// Matcher. CompileNFA and CompileDEVA flatten an automaton — once it is
-// fully built — into dense per-letter arrays and matrices; the Compiled
-// accessors keep the result on the automaton it was derived from, so
-// every matcher, index, and enumerator over the same automaton shares one
-// compilation and the compilation is collectable with the automaton.
+// Step is a hash lookup. CompileDEVA flattens a DEVA — once it is fully
+// built — into dense per-letter arrays; Compiled keeps the result on the
+// automaton it was derived from, so every index and enumerator over the
+// same automaton shares one compilation and the compilation is
+// collectable with the automaton.
 //
 // A compiled automaton is immutable and safe for concurrent use. The
 // source automaton must not be mutated after its first compilation.
@@ -126,90 +123,4 @@ func (c *CompiledDEVA) StepsFor(b byte) []int32 {
 func (d *DEVA) Compiled() *CompiledDEVA {
 	d.compiledOnce.Do(func() { d.compiled = CompileDEVA(d) })
 	return d.compiled
-}
-
-// CompiledNFA holds the per-letter reachability matrices of a plain NFA
-// (no markers, no references): Closure is the reflexive-transitive
-// ε-closure matrix C, and each letter b gets L_b = C·S_b·C, so products
-// of the L_b compose correctly because C is idempotent. This is the
-// Boolean-matrix kernel of compressed membership (Section 4.2).
-type CompiledNFA struct {
-	NFA     *NFA
-	NQ      int
-	Closure *BoolMatrix
-	Letters []byte
-
-	mats [256]*BoolMatrix // per byte; unknown letters share the zero matrix
-	zero *BoolMatrix
-
-	// EmptyAccept reports whether the empty document is accepted.
-	EmptyAccept bool
-}
-
-// CompileNFA builds the matrix compilation of a plain NFA. It errors on
-// automata with marker or reference transitions (those represent
-// spanners, not languages, and take the DEVA route).
-func CompileNFA(n *NFA) (*CompiledNFA, error) {
-	if n.HasRefs() {
-		return nil, fmt.Errorf("automata: CompileNFA on an automaton with reference transitions")
-	}
-	for _, tr := range n.Markers {
-		if len(tr) > 0 {
-			return nil, fmt.Errorf("automata: CompileNFA on an automaton with marker transitions")
-		}
-	}
-	nq := n.NumStates()
-	c := &CompiledNFA{NFA: n, NQ: nq, Letters: n.Alphabet(), zero: NewBoolMatrix(nq)}
-	// Reflexive-transitive ε-closure matrix C.
-	cl := IdentityMatrix(nq)
-	for q := 0; q < nq; q++ {
-		for _, r := range n.EpsClosure([]int{q}) {
-			cl.Set(q, r)
-		}
-	}
-	c.Closure = cl
-	for _, q := range n.EpsClosure([]int{n.Start}) {
-		if n.Final[q] {
-			c.EmptyAccept = true
-			break
-		}
-	}
-	for b := range c.mats {
-		c.mats[b] = c.zero
-	}
-	// One scratch pair shared across all letters, and one arena for the
-	// retained per-letter results: compilation allocates O(1) times for
-	// the whole alphabet, not twice per letter (the regression gate is
-	// TestCompileNFAAllocsPerLetter).
-	s := NewBoolMatrix(nq)
-	tmp := NewBoolMatrix(nq)
-	w := s.w
-	arena := make([]uint64, len(c.Letters)*nq*w)
-	mats := make([]BoolMatrix, len(c.Letters))
-	for li, b := range c.Letters {
-		clear(s.rows)
-		for p := 0; p < nq; p++ {
-			for _, r := range n.Letters[p][b] {
-				s.Set(p, r)
-			}
-		}
-		// L_b = C·S_b·C, built with the in-place kernels.
-		tmp.MulInto(cl, s)
-		m := &mats[li]
-		*m = BoolMatrix{N: nq, w: w, rows: arena[li*nq*w : (li+1)*nq*w : (li+1)*nq*w]}
-		m.MulInto(tmp, cl)
-		c.mats[b] = m
-	}
-	return c, nil
-}
-
-// LetterMatrix returns L_b (the zero matrix for letters unknown to the
-// automaton — no transition reads them, so nothing is reachable).
-func (c *CompiledNFA) LetterMatrix(b byte) *BoolMatrix { return c.mats[b] }
-
-// CompiledMatrices returns the matrix compilation of n, building it on
-// first use; n must not be mutated after the first call.
-func (n *NFA) CompiledMatrices() (*CompiledNFA, error) {
-	n.matsOnce.Do(func() { n.mats, n.matsErr = CompileNFA(n) })
-	return n.mats, n.matsErr
 }

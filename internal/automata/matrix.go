@@ -78,16 +78,11 @@ func aliases(a, b *BoolMatrix) bool {
 
 // MulInto computes the Boolean product a·b into out, reusing out's
 // storage (out must be N×N like a and b; it is cleared first and must
-// not alias a or b — aliasing panics, because the kernels clear out
-// before reading the operands). Small or sparse inputs take the
-// set-bit-scanning kernel; large dense inputs switch to the
-// Four-Russians blocked product (fourrussians.go). Returns out.
+// not alias a or b — aliasing panics, because the kernel clears out
+// before reading the operands). Returns out.
 func (out *BoolMatrix) MulInto(a, b *BoolMatrix) *BoolMatrix {
 	if aliases(out, a) || aliases(out, b) {
 		panic("automata: MulInto: out aliases an operand")
-	}
-	if a.N >= frMinN && a.popCount() > a.N*a.N/frDensityDen {
-		return out.mulFourRussians(a, b)
 	}
 	return out.mulSparse(a, b)
 }

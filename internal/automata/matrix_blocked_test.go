@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The blocked kernels must be bit-identical to the naive reference at
-// every word-boundary width, regardless of the dispatch cutovers.
+// The product kernel must be bit-identical to the naive reference at
+// every word-boundary width and density.
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 128, 200, 257} {
@@ -14,14 +14,9 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 			a := randomMatrix(n, rng, density)
 			b := randomMatrix(n, rng, density)
 			wantMul := naiveMul(a, b)
-			if !NewBoolMatrix(n).mulFourRussians(a, b).Equal(wantMul) {
-				t.Errorf("mulFourRussians mismatch at n=%d density=%v", n, density)
-			}
 			if !NewBoolMatrix(n).mulSparse(a, b).Equal(wantMul) {
 				t.Errorf("mulSparse mismatch at n=%d density=%v", n, density)
 			}
-			// The public dispatcher agrees with the reference no matter
-			// which kernel the size/density heuristics pick.
 			if !NewBoolMatrix(n).MulInto(a, b).Equal(wantMul) {
 				t.Errorf("MulInto mismatch at n=%d density=%v", n, density)
 			}
@@ -68,20 +63,9 @@ func BenchmarkMulInto(b *testing.B) {
 		for _, density := range []float64{0.05, 0.5} {
 			x, y := benchPair(n, density)
 			out := NewBoolMatrix(n)
-			name := benchName(n, density)
-			b.Run("dispatch/"+name, func(b *testing.B) {
+			b.Run(benchName(n, density), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					out.MulInto(x, y)
-				}
-			})
-			b.Run("sparse/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out.mulSparse(x, y)
-				}
-			})
-			b.Run("fourrussians/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out.mulFourRussians(x, y)
 				}
 			})
 		}

@@ -40,13 +40,9 @@ type NFA struct {
 	Refs []map[spans.Var][]int
 
 	// What evaluation derives from a finished automaton lives and dies
-	// with it: the determinization (DeterminizeCached) and the Boolean
-	// matrix compilation (CompiledMatrices), each built once.
+	// with it: the determinization (DeterminizeCached), built once.
 	devaOnce sync.Once
 	deva     *DEVA
-	matsOnce sync.Once
-	mats     *CompiledNFA
-	matsErr  error
 }
 
 // NewNFA returns an empty automaton over the given variables with a single

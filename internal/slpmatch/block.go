@@ -37,8 +37,7 @@ func long(n *slp.Node) bool { return n.Len() > blockLen }
 
 // TabledNodes counts the distinct nodes of the DAGs under roots that an
 // Index keeps a table for once it has warmed them: the nodes longer than
-// its block length. (A Matcher or Counter keeps one for every inner
-// node.)
+// its block length. (A Counter keeps one for every inner node.)
 func TabledNodes(roots ...*slp.Node) int {
 	return len(reachable(roots, blockLen, 0))
 }

@@ -12,7 +12,7 @@ import (
 // Concurrency-safe per-node tables. Per-SLP-node data (Boolean
 // reachability matrices, pure-step vectors, count matrices) depends only
 // on the (automaton, node) pair and SLP nodes are immutable, so each
-// Matcher/Index/Counter memoizes it in a table of its own: whoever holds
+// Index and Counter memoizes it in a table of its own: whoever holds
 // the instance shares the table, a database of d documents pays for each
 // shared SLP node once — also across goroutines — and the table is
 // collectable with the instance.
@@ -31,9 +31,9 @@ import (
 // an entry whose node is still live costs a recomputation and nothing
 // else, exactly as after a Flush.
 //
-// Which nodes a table holds. A Matcher's or Counter's table holds every
-// inner node it has seen; an Index's holds only the inner nodes longer
-// than blockLen, and reads the text of the shorter ones (see Index).
+// Which nodes a table holds. A Counter's table holds every inner node it
+// has seen; an Index's holds only the inner nodes longer than blockLen,
+// and reads the text of the shorter ones (see Index).
 // Every traversal below stops at a node its table never holds, so a
 // block is never "uncached" and nothing below it is visited.
 //
@@ -61,7 +61,7 @@ var cacheTraffic [cacheShards]struct {
 }
 
 // CacheStats returns the cumulative per-SLP-node table hit and miss
-// counts of every Matcher, Index and Counter of the process. Safe to
+// counts of every Index and Counter of the process. Safe to
 // call concurrently with matching, warming, and Flush.
 func CacheStats() (hits, misses uint64) {
 	for i := range cacheTraffic {
@@ -280,8 +280,9 @@ func WarmDeltaStats() (recomputed, reused uint64) {
 // nothing below it. ensure warms a baseline root first (a single cache
 // hit when oldRoot is already warm; a full warm otherwise, so WarmDelta
 // is correct — merely not incremental — on a cold table). compute must
-// derive n's data from its children's (computing them on demand) and
-// store it; a stored node is never recomputed.
+// derive n's data from its children's and store it; the levels run in
+// order, so a node's children are stored before it, and compute derives
+// any a concurrent Flush dropped on demand.
 //
 // The spine is processed sequentially: it is O(ord) nodes, far below the
 // level-parallel threshold that pays off in warmParallel.
@@ -293,6 +294,25 @@ func (c *nodeCache[V]) warmDelta(oldRoot, newRoot *slp.Node, ensure, compute fun
 	if oldRoot != nil {
 		ensure(oldRoot)
 	}
+	levels, reused := c.uncached(newRoot)
+	for _, level := range levels {
+		for _, n := range level {
+			compute(n)
+		}
+		st.Recomputed += len(level)
+	}
+	st.Reused = reused
+	warmRecomputedTotal.Add(uint64(st.Recomputed))
+	warmReusedTotal.Add(uint64(st.Reused))
+	return st
+}
+
+// uncached gathers the distinct tabled nodes of root's DAG that have no
+// data yet, grouped by Order, and counts the distinct cached nodes it
+// pruned at. Order(n) = 1 + max(order of children), so all nodes of one
+// order are pairwise independent: level-by-level processing gives a
+// race-free parallel bottom-up schedule.
+func (c *nodeCache[V]) uncached(root *slp.Node) (levels [][]*slp.Node, reused int) {
 	seen := map[*slp.Node]bool{}
 	var visit func(n *slp.Node)
 	visit = func(n *slp.Node) {
@@ -301,33 +321,9 @@ func (c *nodeCache[V]) warmDelta(oldRoot, newRoot *slp.Node, ensure, compute fun
 		}
 		seen[n] = true
 		if c.has(n) {
-			st.Reused++
+			reused++
 			return
 		}
-		visit(n.Left())
-		visit(n.Right())
-		compute(n)
-		st.Recomputed++
-	}
-	visit(newRoot)
-	warmRecomputedTotal.Add(uint64(st.Recomputed))
-	warmReusedTotal.Add(uint64(st.Reused))
-	return st
-}
-
-// collectByOrder gathers the distinct uncached tabled nodes of root's DAG,
-// grouped by Order. Order(n) = 1 + max(order of children), so all nodes
-// of one order are pairwise independent: level-by-level processing gives
-// a race-free parallel bottom-up schedule.
-func (c *nodeCache[V]) collectByOrder(root *slp.Node) [][]*slp.Node {
-	var levels [][]*slp.Node
-	seen := map[*slp.Node]bool{}
-	var visit func(n *slp.Node)
-	visit = func(n *slp.Node) {
-		if !c.tabled(n) || seen[n] || c.has(n) {
-			return
-		}
-		seen[n] = true
 		visit(n.Left())
 		visit(n.Right())
 		o := int(n.Order())
@@ -337,7 +333,7 @@ func (c *nodeCache[V]) collectByOrder(root *slp.Node) [][]*slp.Node {
 		levels[o] = append(levels[o], n)
 	}
 	visit(root)
-	return levels
+	return levels, reused
 }
 
 // warmParallel computes per-node data for all uncached tabled nodes of
@@ -345,7 +341,7 @@ func (c *nodeCache[V]) collectByOrder(root *slp.Node) [][]*slp.Node {
 // calls worker once for its compute function, which must derive n's data
 // from its children's (already cached) data and store it.
 func (c *nodeCache[V]) warmParallel(root *slp.Node, workers int, worker func() func(*slp.Node)) {
-	levels := c.collectByOrder(root)
+	levels, _ := c.uncached(root)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -3,6 +3,7 @@ package slpmatch
 import (
 	"fmt"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // Race-regression tests for the node tables. Run with -race: one
-// Matcher/Index/Counter instance is hammered from 8 goroutines, with a
+// Index/Counter instance is hammered from 8 goroutines, with a
 // fresh (cold-cache) document mix so that concurrent node computation
 // actually happens, and every goroutine must see the sequential answers.
 
@@ -51,13 +52,8 @@ func TestSharedIndexConcurrent(t *testing.T) {
 }
 
 func TestSharedMatcherAndCounterConcurrent(t *testing.T) {
-	nfa := plainNFA(t, "(ab)*")
-	d := spannerDEVA(t, ".*!x{ab}.*")
-	m, err := NewMatcher(nfa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := NewCounter(d)
+	m := NewIndex(spannerDEVA(t, "(ab)*"))
+	ct := NewCounter(spannerDEVA(t, ".*!x{ab}.*"))
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -66,7 +62,7 @@ func TestSharedMatcherAndCounterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := int64(60); k < 68; k++ {
 				root := slp.Repeat(slp.FromBytes([]byte("ab")), k)
-				if !m.Accepts(root) {
+				if !m.NonEmpty(root) {
 					errs <- fmt.Errorf("goroutine %d: (ab)^%d rejected", g, k)
 				}
 				if got := ct.Count(root); got.Cmp(big.NewInt(k)) != 0 {
@@ -99,13 +95,15 @@ func TestWarmParallelMatchesSequential(t *testing.T) {
 		t.Errorf("Count after WarmParallel = %d, want %d", got, wantCount)
 	}
 
-	m, err := NewMatcher(plainNFA(t, "(a|b)*"))
-	if err != nil {
-		t.Fatal(err)
+	// Membership on a document long enough to have tables.
+	doc := slp.Balance(slp.Compress([]byte(strings.Repeat("abbaabbbabababba", 8))))
+	m := NewIndex(spannerDEVA(t, "(a|b)*"))
+	m.WarmParallel(doc, 4)
+	if got, want := m.CachedNodes(), TabledNodes(doc); got != want {
+		t.Errorf("WarmParallel cached %d nodes, want %d", got, want)
 	}
-	m.WarmParallel(root, 4)
-	if !m.Accepts(root) {
-		t.Error("Accepts after WarmParallel = false")
+	if !m.NonEmpty(doc) {
+		t.Error("NonEmpty after WarmParallel = false")
 	}
 }
 

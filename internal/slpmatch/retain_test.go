@@ -23,7 +23,7 @@ func randomDoc(rng *rand.Rand, n int) *slp.Node {
 }
 
 // innerNodes counts the distinct inner nodes of the DAGs under roots:
-// the nodes a Counter or Matcher keeps a table for.
+// the nodes a Counter keeps a table for.
 func innerNodes(roots ...*slp.Node) int { return nodesLongerThan(1, roots...) }
 
 // longNodes counts the distinct nodes longer than blockLen of the DAGs

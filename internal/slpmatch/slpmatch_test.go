@@ -26,11 +26,12 @@ func plainNFA(t *testing.T, src string) *automata.NFA {
 	return a
 }
 
+// Membership of a compressed document in a language (Section 4.2) is
+// NonEmpty on an Index over the DEVA of a variable-free pattern: the
+// result is the empty tuple or nothing.
+
 func TestCompressedMembership(t *testing.T) {
-	m, err := NewMatcher(plainNFA(t, "(ab)*c?"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := NewIndex(spannerDEVA(t, "(ab)*c?"))
 	cases := []struct {
 		doc  string
 		want bool
@@ -42,69 +43,81 @@ func TestCompressedMembership(t *testing.T) {
 		{"c", true},
 		{"a", false},
 		{"ba", false},
+		{strings.Repeat("ab", 100) + "c", true},
 		{"abc" + strings.Repeat("ab", 100), false},
 	}
 	for _, c := range cases {
 		root := slp.Balance(slp.Compress([]byte(c.doc)))
-		if got := m.Accepts(root); got != c.want {
-			t.Errorf("Accepts(%q) = %v, want %v", c.doc, got, c.want)
+		if got := ix.NonEmpty(root); got != c.want {
+			t.Errorf("NonEmpty(%q) = %v, want %v", c.doc, got, c.want)
 		}
 	}
 }
 
 // TestCompressedMembershipHugeDoc pins E3's claim, O(|S|) Boolean matrix
 // products for membership of (ab)^{n/2} in (ab)*, by counting: one
-// product per distinct inner node of the DAG, whatever n, and none for a
+// product per distinct node the index tables, whatever n, and none for a
 // second question about the same document.
 func TestCompressedMembershipHugeDoc(t *testing.T) {
-	nfa := plainNFA(t, "(ab)*")
+	d := spannerDEVA(t, "(ab)*")
 	for _, exp := range []int{12, 16, 20} {
-		m, err := NewMatcher(nfa)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := NewIndex(d)
 		root := slp.Repeat(slp.FromBytes([]byte("ab")), 1<<(exp-1))
-		if !m.Accepts(root) {
+		if !ix.NonEmpty(root) {
 			t.Fatalf("n=2^%d: periodic doc rejected", exp)
 		}
-		if got, want := m.CachedNodes(), innerNodes(root); got != want {
-			t.Fatalf("n=2^%d: %d node matrices stored, want one per distinct inner node (%d)", exp, got, want)
+		if got, want := ix.CachedNodes(), TabledNodes(root); got != want {
+			t.Fatalf("n=2^%d: %d node tables stored, want one per tabled node (%d)", exp, got, want)
 		}
 		_, missesBefore := CacheStats()
-		m.Accepts(root)
+		ix.NonEmpty(root)
 		if _, misses := CacheStats(); misses != missesBefore {
-			t.Fatalf("n=2^%d: second Accepts missed the table %d times, want 0", exp, misses-missesBefore)
+			t.Fatalf("n=2^%d: second NonEmpty missed the table %d times, want 0", exp, misses-missesBefore)
 		}
-		if m.Accepts(slp.Concat(root, slp.Leaf('a'))) {
+		if ix.NonEmpty(slp.Concat(root, slp.Leaf('a'))) {
 			t.Fatalf("n=2^%d: odd-length doc accepted", exp)
 		}
 	}
 }
 
+// TestCompressedMembershipRandomCrossCheck checks NonEmpty against the
+// DEVA run on the plain text, on lengths 0 … 4·blockLen+1: block roots,
+// long roots of two blocks, and deeper long roots. ".*a.{6}" has 128
+// DEVA states, so its rows take two words.
 func TestCompressedMembershipRandomCrossCheck(t *testing.T) {
-	m, err := NewMatcher(plainNFA(t, "a(a|b)*b|c+"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := automata.Determinize(plainNFA(t, "a(a|b)*b|c+"))
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(30)
-		doc := make([]byte, n)
-		for i := range doc {
-			doc[i] = "abc"[rng.Intn(3)]
+	var blocks, twoBlocks, deeper int
+	for _, src := range []string{"a(a|b)*b|c+", ".*a.{6}"} {
+		d := spannerDEVA(t, src)
+		if src == ".*a.{6}" && d.NumStates() <= 64 {
+			t.Fatalf("%q: %d DEVA states, want more than 64", src, d.NumStates())
 		}
-		root := slp.Balance(slp.Compress(doc))
-		want := d.AcceptsExtended(doc, nil)
-		if got := m.Accepts(root); got != want {
-			t.Fatalf("Accepts(%q) = %v, want %v", doc, got, want)
+		ix := NewIndex(d)
+		for trial := 0; trial < 300; trial++ {
+			// One letter set per document, so that both patterns accept
+			// long documents too.
+			letters := []string{"abc", "ab", "c"}[rng.Intn(3)]
+			doc := make([]byte, rng.Intn(4*blockLen+2))
+			for i := range doc {
+				doc[i] = letters[rng.Intn(len(letters))]
+			}
+			root := slp.Balance(slp.Compress(doc))
+			switch {
+			case !long(root):
+				blocks++
+			case !long(root.Left()) && !long(root.Right()):
+				twoBlocks++
+			default:
+				deeper++
+			}
+			want := d.AcceptsExtended(doc, nil)
+			if got := ix.NonEmpty(root); got != want {
+				t.Fatalf("%q: NonEmpty(%q) = %v, want %v", src, doc, got, want)
+			}
 		}
 	}
-}
-
-func TestMatcherRejectsSpanners(t *testing.T) {
-	if _, err := NewMatcher(plainNFA(t, "!x{a}")); err == nil {
-		t.Error("marker automaton accepted by NewMatcher")
+	if blocks == 0 || twoBlocks == 0 || deeper == 0 {
+		t.Fatalf("roots drawn: %d blocks, %d of two blocks, %d deeper; want each kind", blocks, twoBlocks, deeper)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// PoolEscape enforces the pooled-buffer discipline of the serving and
-// kernel layers (sync.Pool scratch in the Four-Russians kernels, pooled
-// tuple buffers and NDJSON encoders in internal/server): a buffer taken
-// from a pool is scoped to one request or one kernel invocation. It
+// PoolEscape enforces the pooled-buffer discipline of the serving layers
+// (pooled tuple buffers of the facade's parallel evaluation, evaluation
+// buffers and NDJSON encoders in internal/server): a buffer taken from a
+// pool is scoped to one request or one call. It
 // must go back — via Put, usually deferred — and it must not outlive
 // the scope by being returned or stored into longer-lived state, or two
 // requests end up sharing (and concurrently mutating) one buffer.
@@ -29,7 +29,7 @@ import (
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: "flags sync.Pool Gets without a matching Put, unpaired get*/put* buffer accessors, " +
-		"and pooled buffers escaping their request or kernel scope via returns or stores",
+		"and pooled buffers escaping their request or call scope via returns or stores",
 	Run: runPoolEscape,
 }
 
@@ -256,7 +256,7 @@ func checkPoolFunc(p *Pass, fd *ast.FuncDecl, pairs map[string]string, wrappers 
 					}
 					if storesBeyondScope(p, v.Lhs[i]) {
 						p.Reportf(rhs.Pos(),
-							"pooled buffer %s stored into %s, which outlives the request/kernel scope",
+							"pooled buffer %s stored into %s, which outlives the request/call scope",
 							obj.Name(), exprString(v.Lhs[i]))
 					}
 				}

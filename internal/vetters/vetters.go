@@ -1,7 +1,7 @@
 // Package vetters implements spanvet: a suite of repository-specific
 // static analyzers that enforce, at compile time, the runtime contracts
 // the engine's hot paths rely on — the aliasing panics of the
-// Four-Russians Into-kernels, the sync.Pool buffer discipline of the
+// BoolMatrix Into-kernels, the sync.Pool buffer discipline of the
 // serving layer, the flush-error abort contract of /stream, the
 // request-context flow into Eval*/Enumerate*/Count*, and the lock
 // ordering of the 64-shard slpmatch caches.
