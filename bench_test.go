@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -860,81 +859,20 @@ func naiveAcceptsMarked(n *automata.NFA, msw refwords.MarkerSetWord) bool {
 	return try(0, n.EpsClosure([]int{n.Start}))
 }
 
-// ---------- E14: parallel evaluation ----------
+// ---------- E14: split-correctness by one equivalence check ----------
 
-// BenchmarkE14EvalDocs compares a serial loop over a document batch with
-// the bounded-worker-pool EvalDocs on the same shared spanner. On a
-// multi-core host the parallel variants divide the wall-clock by the
-// worker count; with GOMAXPROCS=1 they show only the (small) pool
-// overhead.
-func BenchmarkE14EvalDocs(b *testing.B) {
-	s := MustCompile(".*!x{ab}.*", Options{Alphabet: []byte("ab")})
-	const batch = 16
-	docs := make([][]byte, batch)
-	for i := range docs {
-		docs[i] = randomDoc(1<<12, int64(30+i))
-	}
-	s.Eval(docs[0]) // warm the lazy determinization once for all variants
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, doc := range docs {
-				s.Eval(doc)
-			}
-		}
-	})
-	seen := map[int]bool{}
-	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("parallel/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := EvalDocs(context.Background(), s, docs, ParallelOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE14EvalSharded compares direct evaluation of one large
-// semicolon-segmented document with the split-correct sharded pipeline.
-// Split-correctness is checked once up front (as CheckSplitCorrect's
-// document-independence licenses), so the measured loop is pure
-// shard-evaluate-shift work.
-func BenchmarkE14EvalSharded(b *testing.B) {
+// BenchmarkE14SplitCorrect times CheckSplitCorrect on E14's split-correct
+// pair: the extraction .*!x{aa}.* against the semicolon splitter. The
+// check compiles the split-then-extract pipeline into one automaton and
+// decides its equivalence with the spanner; no document is involved.
+func BenchmarkE14SplitCorrect(b *testing.B) {
 	opts := Options{Alphabet: []byte("ab;")}
 	p := MustCompile(".*!x{aa}.*", opts)
 	splitter := MustCompile("(.*;)?!s{[ab]*}(;.*)?", opts)
-	correct, ce, err := CheckSplitCorrect(p, splitter, "s", nil, 4)
-	if err != nil || !correct {
-		b.Fatal(correct, ce, err)
-	}
-	for _, segs := range []int{64, 512} {
-		doc := []byte(strings.Repeat("abaab;", segs))
-		doc = doc[:len(doc)-1]
-		b.Run(fmt.Sprintf("serial/segments=%d", segs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if p.Eval(doc).Len() == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-		seen := map[int]bool{}
-		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			if seen[w] {
-				continue
-			}
-			seen[w] = true
-			b.Run(fmt.Sprintf("sharded/segments=%d/workers=%d", segs, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rel, err := EvalSharded(context.Background(), p, splitter, "s", doc, ShardOptions{Workers: w})
-					if err != nil || rel.Len() == 0 {
-						b.Fatal(rel, err)
-					}
-				}
-			})
+	for i := 0; i < b.N; i++ {
+		correct, ce, err := CheckSplitCorrect(p, splitter, "s", nil, 4)
+		if err != nil || !correct {
+			b.Fatal(correct, ce, err)
 		}
 	}
 }

@@ -38,36 +38,36 @@
 //
 // Endpoints (see the README's Serving section for a walkthrough):
 //
-//	GET    /healthz                  liveness + object counts
-//	GET    /readyz                   readiness (503 while recovering)
-//	GET    /metrics                  Prometheus text format
-//	GET    /varz                     expvar JSON
-//	GET    /cluster                  ring + worker health (coordinator)
-//	GET    /docs                     list documents
-//	PUT    /docs/{name}[?compress=1] ingest body as a document
-//	GET    /docs/{name}[?content=1]  metadata, or the text itself
-//	DELETE /docs/{name}              drop a document
-//	POST   /docs/{name}/compress     re-ingest in SLP-compressed form
-//	POST   /docs/{name}/edit         apply a CDE expression {"expr": ...}
-//	POST   /docs/{name}/warm?query=q compressed-evaluation preprocessing
-//	GET    /queries                  list prepared queries
-//	PUT    /queries/{name}           register {"src": pattern-or-expr, ...}
-//	GET    /queries/{name}           the registered query's metadata
-//	GET    /queries/{name}/explain   the planned physical query
-//	DELETE /queries/{name}           unregister
-//	GET    /eval?query=q&doc=d       materialized result (sorted JSON)
-//	GET    /count?query=q&doc=d      tuple count
-//	GET    /stream?query=q&doc=d     NDJSON, one tuple per line, streamed
-//	GET    /stream?query=q&docs=a,b  merged cross-document stream (coordinator)
-//	POST   /batch                    {"query", "docs": [...], "workers"}
-//	GET    /views                    list all live views
-//	GET    /docs/{name}/views        list the document's live views
-//	PUT    /docs/{name}/views/{q}    register a live view, refresh inline
-//	GET    /docs/{name}/views/{q}    version-stamped result [?tuples=1]
-//	DELETE /docs/{name}/views/{q}    drop a view
-//	GET    /docs/{name}/changes      ?query=q&since=V tuple delta, NDJSON
-//	POST   /admin/flush-caches       empty the registered queries' matrix tables in place
-//	POST   /admin/snapshot           cut a storage snapshot, truncate WAL
+//	GET    /healthz                   liveness + object counts
+//	GET    /readyz                    readiness (503 while recovering)
+//	GET    /metrics                   Prometheus text format
+//	GET    /varz                      expvar JSON
+//	GET    /cluster                   ring + worker health (coordinator)
+//	GET    /docs                      list documents
+//	PUT    /docs/{name}[?compress=1]  ingest body as a document
+//	GET    /docs/{name}[?content=1]   metadata, or the text itself
+//	DELETE /docs/{name}               drop a document
+//	POST   /docs/{name}/compress      re-ingest in SLP-compressed form
+//	POST   /docs/{name}/edit          apply a CDE expression {"expr": ...}
+//	POST   /docs/{name}/warm?query=q  compressed-evaluation preprocessing
+//	GET    /queries                   list prepared queries
+//	PUT    /queries/{name}            register {"src": pattern-or-expr, ...}
+//	GET    /queries/{name}            the registered query's metadata
+//	GET    /queries/{name}/explain    the planned physical query
+//	DELETE /queries/{name}            unregister
+//	GET    /eval?query=q&doc=d        materialized result (sorted JSON)
+//	GET    /count?query=q&doc=d       tuple count
+//	GET    /stream?query=q&doc=d      NDJSON, one tuple per line, streamed;
+//	                                  docs=a,b (or docs=*) merges documents (coordinator)
+//	POST   /batch                     {"query", "docs": [...], "workers"}
+//	GET    /views                     list all live views
+//	GET    /docs/{name}/views         list the document's live views
+//	PUT    /docs/{name}/views/{query} register a live view, refresh inline
+//	GET    /docs/{name}/views/{query} version-stamped result [?tuples=1]
+//	DELETE /docs/{name}/views/{query} drop a view
+//	GET    /docs/{name}/changes       ?query=q&since=V tuple delta, NDJSON
+//	POST   /admin/flush-caches        empty the registered queries' matrix tables in place
+//	POST   /admin/snapshot            cut a storage snapshot, truncate WAL
 package main
 
 import (

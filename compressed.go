@@ -189,17 +189,6 @@ func (ix *Index) WarmDelta(old, cur *Document) WarmStats {
 	return st
 }
 
-// WarmDB preprocesses every document of a database. Nodes shared between
-// documents are computed exactly once (they hit the index's table), and
-// each document's fresh nodes are computed bottom-up in parallel.
-func (ix *Index) WarmDB(db *DocDB, workers int) {
-	for _, name := range db.Names() {
-		if d, ok := db.Get(name); ok {
-			ix.ix.WarmParallel(d.Node(), workers)
-		}
-	}
-}
-
 // Enumerate streams the result tuples on the compressed document.
 func (ix *Index) Enumerate(d *Document, f func(Tuple) bool) {
 	ix.ix.Each(d.Node(), f)
@@ -210,14 +199,6 @@ func (ix *Index) Count(d *Document) int { return ix.ix.Count(d.Node()) }
 
 // Eval materializes the result relation.
 func (ix *Index) Eval(d *Document) *Relation { return ix.ix.All(d.Node()) }
-
-// EvalCompressed is Eval under the name the CompressedEvaluator
-// interface shares with Query.
-func (ix *Index) EvalCompressed(d *Document) *Relation { return ix.Eval(d) }
-
-// EnumerateCompressed is Enumerate under the name the
-// CompressedStreamEvaluator interface shares with Query.
-func (ix *Index) EnumerateCompressed(d *Document, f func(Tuple) bool) { ix.Enumerate(d, f) }
 
 // NonEmpty decides S(D) ≠ ∅ in compressed time.
 func (ix *Index) NonEmpty(d *Document) bool { return ix.ix.NonEmpty(d.Node()) }
@@ -240,19 +221,6 @@ func (ix *Index) ExactCount(d *Document) *big.Int {
 // document (see Compressed for what decompresses and what does not).
 func (q *Query) EvalCompressed(d *Document) *Relation { return q.plan().Eval(Compressed(d, nil)) }
 
-// EnumerateCompressed is EnumerateSource on an SLP-compressed document,
-// without cancellation.
-func (q *Query) EnumerateCompressed(d *Document, f func(Tuple) bool) {
-	q.plan().Enumerate(Compressed(d, nil), nil, f)
-}
-
-// CountCompressed counts the query's result tuples on an SLP-compressed
-// document.
-func (q *Query) CountCompressed(d *Document) int {
-	n, _ := q.plan().CountPoll(Compressed(d, nil), nil)
-	return n
-}
-
 // EnumerateCompressedContext is EnumerateSource on an SLP-compressed
 // document.
 func (q *Query) EnumerateCompressedContext(ctx context.Context, d *Document, f func(Tuple) bool) error {
@@ -268,10 +236,11 @@ func (q *Query) CountCompressedContext(ctx context.Context, d *Document) (int, e
 // exactly when the planner collapses the whole query into one regular
 // scan (a single fused vset-automaton) — the plan shape the logarithmic-
 // delay compressed enumeration of Section 4.2 requires. It is the index
-// EvalCompressed, EnumerateCompressed and CountCompressed use, built
-// once per query. Queries with residual algebra (unfusable joins,
-// selections, refl scans) return an error; they can still evaluate on
-// compressed documents with EvalCompressed.
+// the query's compressed evaluation (EvalCompressed, EnumerateSource and
+// CountSource on a Compressed source) uses, built once per query.
+// Queries with residual algebra (unfusable joins, selections, refl
+// scans) return an error; they can still evaluate on compressed
+// documents with EvalCompressed.
 func (q *Query) Index() (*Index, error) {
 	if ix := q.index.Load(); ix != nil {
 		return ix, nil

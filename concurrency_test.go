@@ -247,44 +247,50 @@ func TestSharedIndexConcurrentUse(t *testing.T) {
 	})
 }
 
-// TestWarmDBParallelBatch drives the parallel facade end to end: WarmDB
-// preprocesses a database bottom-up in parallel, then the batch entry
-// points evaluate against the warmed shared cache.
+// TestWarmDBParallelBatch warms a batch of documents with shared
+// structure through one Index with WarmParallel, then evaluates the batch
+// on that Index from 4 goroutines at once; with -race this proves the
+// warmed shared tables are read without races.
 func TestWarmDBParallelBatch(t *testing.T) {
 	s := MustCompile(".*!x{ab}.*", Options{Alphabet: []byte("ab")})
-	db := NewDocDB()
 	base := CompressDocument([]byte("abab"))
 	var docs []*Document
 	for i := 0; i < 4; i++ {
-		d := RepeatDocument(base, int64(20+8*i))
-		db.Add(fmt.Sprintf("D%d", i), d)
-		docs = append(docs, d)
+		docs = append(docs, RepeatDocument(base, int64(20+8*i)))
 	}
 	ix, err := s.Index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.WarmDB(db, 4)
-
-	rels, err := EvalCompressedDocs(nil, ix, docs, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range docs {
+		ix.WarmParallel(d, 4)
 	}
-	counts := make([]int, len(docs))
-	err = EnumerateCompressedDocs(nil, ix, docs, ParallelOptions{Workers: 4}, func(doc int, tu Tuple) bool {
-		counts[doc]++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := make([]int, len(docs))
 	for i, d := range docs {
-		want := ix.Count(d)
-		if rels[i].Len() != want {
-			t.Errorf("EvalCompressedDocs doc %d: %d tuples, want %d", i, rels[i].Len(), want)
-		}
-		if counts[i] != want {
-			t.Errorf("EnumerateCompressedDocs doc %d: %d tuples, want %d", i, counts[i], want)
-		}
+		want[i] = s.Count(d.Bytes()) // the plain-text path as reference
+	}
+
+	errs := make(chan error, len(docs))
+	var wg sync.WaitGroup
+	for g := range docs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range docs {
+				i := (g + k) % len(docs)
+				n := 0
+				ix.Enumerate(docs[i], func(Tuple) bool { n++; return true })
+				evaled, counted := ix.Eval(docs[i]).Len(), ix.Count(docs[i])
+				if evaled != want[i] || n != want[i] || counted != want[i] {
+					errs <- fmt.Errorf("doc %d: Eval %d, Enumerate %d, Count %d tuples, want %d",
+						i, evaled, n, counted, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"docspanner/internal/refl"
 	"docspanner/internal/regex"
 	"docspanner/internal/spans"
+	"docspanner/internal/split"
 	"docspanner/internal/vset"
 )
 
@@ -285,6 +286,54 @@ func Contains(a, b *Spanner) (bool, error) {
 		return false, fmt.Errorf("docspanner: Containment is undecidable beyond regular spanners; use EquivalentUpTo")
 	}
 	return vset.Contains(a.nfa, b.nfa), nil
+}
+
+// CheckSplitCorrect decides split-correctness of p with respect to the
+// splitter: whether extracting with p inside each span the splitter binds
+// to splitVar (shifted back to whole-document coordinates) gives p's
+// result on the whole document, on every document. It decides this
+// exactly, by compiling the split-then-extract pipeline into a single
+// regular spanner (internal/split.Compose) and checking spanner
+// equivalence (Doleschal et al., PODS 2019; decidable for regular
+// spanners, in contrast to core spanners). When the answer is negative, a
+// counterexample document is searched for by bounded enumeration over
+// alphabet (default: the union of the two automata's alphabets) up to
+// length maxWitness.
+func CheckSplitCorrect(p, splitter *Spanner, splitVar Var, alphabet []byte, maxWitness int) (correct bool, counterexample []byte, err error) {
+	if !p.IsRegular() {
+		return false, nil, fmt.Errorf("docspanner: CheckSplitCorrect needs a regular spanner (split-correctness is undecidable beyond)")
+	}
+	if !splitter.IsRegular() {
+		return false, nil, fmt.Errorf("docspanner: CheckSplitCorrect: splitter must be a regular spanner")
+	}
+	if alphabet == nil {
+		alphabet = unionAlphabet(p.nfa.Alphabet(), splitter.nfa.Alphabet())
+	}
+	res, err := split.Correct(p.nfa, splitter.nfa, splitVar, alphabet, maxWitness)
+	if err != nil {
+		return false, nil, err
+	}
+	return res.Correct, res.Counterexample, nil
+}
+
+func unionAlphabet(a, b []byte) []byte {
+	seen := [256]bool{}
+	out := make([]byte, 0, len(a)+len(b))
+	for _, bs := range [][]byte{a, b} {
+		for _, c := range bs {
+			if !seen[c] {
+				seen[c] = true
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
+// Evaluator is the evaluation interface shared by *Spanner, *Query, and
+// *NormalForm: anything that materializes a span relation on a document.
+type Evaluator interface {
+	Eval(doc []byte) *Relation
 }
 
 // EquivalentUpTo compares two Evaluators — spanners, queries, or normal

@@ -470,3 +470,65 @@ func TestSchemalessSpannerAPI(t *testing.T) {
 		t.Errorf("Count = %d", c)
 	}
 }
+
+// TestCheckSplitCorrect decides split-correctness on the positive and
+// negative instances of the internal/split tests: documents over {a,b,;}
+// are split at semicolons; aa cannot cross a ';', a;a must.
+func TestCheckSplitCorrect(t *testing.T) {
+	opts := Options{Alphabet: []byte("ab;")}
+	p := MustCompile(".*!x{aa}.*", opts)
+	splitter := MustCompile("(.*;)?!s{[ab]*}(;.*)?", opts)
+	correct, ce, err := CheckSplitCorrect(p, splitter, "s", nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !correct || ce != nil {
+		t.Errorf("CheckSplitCorrect = %v, %q", correct, ce)
+	}
+	bad := MustCompile(".*!x{a;a}.*", opts)
+	correct, ce, err = CheckSplitCorrect(bad, splitter, "s", nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if correct {
+		t.Error("split-incorrect spanner reported correct")
+	}
+	if ce == nil {
+		t.Error("no counterexample found for split-incorrect spanner")
+	}
+
+	// The decision needs regular spanners and a splitter binding splitVar.
+	refl := MustCompile("!x{(a|b)+}&x", opts)
+	if _, _, err := CheckSplitCorrect(refl, splitter, "s", nil, 2); err == nil {
+		t.Error("CheckSplitCorrect accepted a refl-spanner")
+	}
+	if _, _, err := CheckSplitCorrect(p, refl, "x", nil, 2); err == nil {
+		t.Error("CheckSplitCorrect accepted a refl splitter")
+	}
+	if _, _, err := CheckSplitCorrect(p, splitter, "nosuchvar", nil, 2); err == nil {
+		t.Error("CheckSplitCorrect accepted a split variable the splitter does not bind")
+	}
+}
+
+// TestReflEnumerateStreams checks the work-saving property of the
+// streaming refl enumeration: an early-stopping callback sees exactly k
+// tuples, and NonEmpty-style probing does not materialize the relation.
+func TestReflEnumerateStreams(t *testing.T) {
+	s := MustCompile("!x{(a|b)+}&x", Options{Alphabet: []byte("ab")})
+	doc := []byte("abab")
+	full := s.Count(doc)
+	if full == 0 {
+		t.Fatal("fixture has no results")
+	}
+	n := 0
+	s.Enumerate(doc, func(Tuple) bool { n++; return false })
+	if n != 1 {
+		t.Errorf("early-stop enumeration delivered %d tuples, want 1", n)
+	}
+	// Streaming must agree with materialization.
+	streamed := NewRelation()
+	s.Enumerate(doc, func(tu Tuple) bool { streamed.Add(tu); return true })
+	if !streamed.Equal(s.Eval(doc)) {
+		t.Errorf("streamed = %v, want %v", streamed, s.Eval(doc))
+	}
+}

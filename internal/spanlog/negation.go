@@ -3,9 +3,7 @@ package spanlog
 import (
 	"fmt"
 
-	"docspanner/internal/automata"
 	"docspanner/internal/spans"
-	"docspanner/internal/vset"
 )
 
 // Stratified negation: body literals may be negated (Literal.Negated),
@@ -96,150 +94,4 @@ func (p *Program) validateNegation() error {
 		}
 	}
 	return nil
-}
-
-// EvalStratified evaluates a program with (possibly) negated literals:
-// strata are computed and evaluated bottom-up, each to its own fixpoint,
-// so negated literals only consult fully computed predicates.
-func (p *Program) EvalStratified(doc []byte) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.validateNegation(); err != nil {
-		return nil, err
-	}
-	strata, err := p.Stratify()
-	if err != nil {
-		return nil, err
-	}
-	maxStratum := 0
-	for _, s := range strata {
-		if s > maxStratum {
-			maxStratum = s
-		}
-	}
-
-	res := &Result{doc: doc, preds: map[string]map[string]fact{}}
-
-	// Materialize spanner literals once.
-	srel := map[*automata.NFA]*spans.Relation{}
-	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			if l.Spanner != nil && srel[l.Spanner] == nil {
-				srel[l.Spanner] = vset.Eval(l.Spanner, doc, vset.Schemaless)
-			}
-		}
-	}
-
-	add := func(pred string, f fact) bool {
-		m := res.preds[pred]
-		if m == nil {
-			m = map[string]fact{}
-			res.preds[pred] = m
-		}
-		k := key(f)
-		if _, ok := m[k]; ok {
-			return false
-		}
-		m[k] = f
-		return true
-	}
-
-	for s := 0; s <= maxStratum; s++ {
-		for changed := true; changed; {
-			changed = false
-			for _, r := range p.Rules {
-				if strata[r.Head.Pred] != s {
-					continue
-				}
-				for _, binding := range p.matchBodyNeg(doc, r.Body, srel, res) {
-					f := make(fact, len(r.Head.Args))
-					for i, v := range r.Head.Args {
-						f[i] = binding[v]
-					}
-					if add(r.Head.Pred, f) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return res, nil
-}
-
-// matchBodyNeg is matchBody extended with negated literals.
-func (p *Program) matchBodyNeg(doc []byte, body []Literal, srel map[*automata.NFA]*spans.Relation, res *Result) []map[spans.Var]spans.Span {
-	bindings := []map[spans.Var]spans.Span{{}}
-	for _, l := range orderLiterals(body) {
-		var next []map[spans.Var]spans.Span
-		switch {
-		case l.Negated:
-			facts := res.preds[l.Atom.Pred]
-			for _, b := range bindings {
-				hit := false
-				for _, f := range facts {
-					if len(f) != len(l.Atom.Args) {
-						continue
-					}
-					match := true
-					for i, v := range l.Atom.Args {
-						if b[v] != f[i] {
-							match = false
-							break
-						}
-					}
-					if match {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					next = append(next, b)
-				}
-			}
-		case l.StrEq:
-			for _, b := range bindings {
-				x, y := b[l.Atom.Args[0]], b[l.Atom.Args[1]]
-				if !x.IsDefined() || !y.IsDefined() {
-					continue
-				}
-				if string(x.Content(doc)) == string(y.Content(doc)) {
-					next = append(next, b)
-				}
-			}
-		case l.Spanner != nil:
-			rel := srel[l.Spanner]
-			for _, b := range bindings {
-				for _, t := range rel.Tuples() {
-					nb, ok := extend(b, l.Atom.Args, func(i int) (spans.Span, bool) {
-						sp, has := t[l.Atom.Args[i]]
-						return sp, has
-					})
-					if ok {
-						next = append(next, nb)
-					}
-				}
-			}
-		default:
-			facts := res.preds[l.Atom.Pred]
-			for _, b := range bindings {
-				for _, f := range facts {
-					if len(f) != len(l.Atom.Args) {
-						continue
-					}
-					nb, ok := extend(b, l.Atom.Args, func(i int) (spans.Span, bool) {
-						return f[i], true
-					})
-					if ok {
-						next = append(next, nb)
-					}
-				}
-			}
-		}
-		bindings = next
-		if len(bindings) == 0 {
-			break
-		}
-	}
-	return bindings
 }

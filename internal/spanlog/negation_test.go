@@ -1,7 +1,10 @@
 package spanlog
 
 import (
+	"reflect"
 	"testing"
+
+	"docspanner/internal/spans"
 )
 
 const negProgram = `
@@ -23,7 +26,7 @@ func TestStratifiedNegation(t *testing.T) {
 	// written only marks the EARLIER duplicate (x before y); adjust
 	// expectation accordingly.
 	doc := []byte("ab,b,ab")
-	res, err := prog.Eval(doc) // auto-routes to EvalStratified
+	res, err := prog.Eval(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ q(x) :- "!x{a}"(x), !p(x).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.EvalStratified([]byte("a")); err == nil {
+	if _, err := prog.Eval([]byte("a")); err == nil {
 		t.Error("negation through recursion accepted")
 	}
 }
@@ -68,7 +71,7 @@ q(x, y) :- "!x{a}!y{a}"(x, y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.EvalStratified([]byte("aa")); err == nil {
+	if _, err := prog.Eval([]byte("aa")); err == nil {
 		t.Error("unsafe negation accepted")
 	}
 }
@@ -94,22 +97,34 @@ func TestStratifyLevels(t *testing.T) {
 	}
 }
 
+// TestNegationOnPositiveProgramIsNoop checks that a program without
+// negation is one stratum and that its fixpoint is exactly the positive
+// closure.
 func TestNegationOnPositiveProgramIsNoop(t *testing.T) {
 	prog, err := ParseProgram(exampleProgram, []byte("abcdefghijklmnopqrstuvwxyz;->"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := []byte("a->b;b->c")
-	r1, err := prog.Eval(doc)
+	strata, err := prog.Stratify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := prog.EvalStratified(doc)
+	for pred, s := range strata {
+		if s != 0 {
+			t.Errorf("stratum of %s = %d, want 0", pred, s)
+		}
+	}
+	// a->b;b->c: the two edges and their composition through eq(b, b).
+	res, err := prog.Eval([]byte("a->b;b->c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Count("reach") != r2.Count("reach") {
-		t.Errorf("stratified evaluation differs on positive program: %d vs %d",
-			r1.Count("reach"), r2.Count("reach"))
+	want := [][]spans.Span{
+		{spans.S(1, 2), spans.S(4, 5)},
+		{spans.S(1, 2), spans.S(9, 10)},
+		{spans.S(6, 7), spans.S(9, 10)},
+	}
+	if got := res.Facts("reach"); !reflect.DeepEqual(got, want) {
+		t.Errorf("reach = %v, want %v", got, want)
 	}
 }

@@ -6,7 +6,7 @@
 // to the document, binding datalog variables to spans —, (b) IDB atoms,
 // and (c) the built-in string-equality predicate eq(x, y), which holds
 // when the spans' contents in the document coincide. Evaluation is
-// bottom-up semi-naive to a fixpoint.
+// bottom-up, stratum by stratum, naively iterated to a fixpoint.
 package spanlog
 
 import (
@@ -45,7 +45,7 @@ type Literal struct {
 	// two variables).
 	StrEq bool
 	// Negated marks a negated IDB literal (stratified negation; see
-	// EvalStratified). Spanner and eq literals cannot be negated.
+	// Stratify). Spanner and eq literals cannot be negated.
 	Negated bool
 }
 
@@ -157,19 +157,28 @@ func (r *Result) FactsAs(pred string, cols ...spans.Var) *spans.Relation {
 func (r *Result) Count(pred string) int { return len(r.preds[pred]) }
 
 // Eval computes the fixpoint of the program on the document. Spanner
-// literals are materialized once; IDB predicates are iterated semi-naively
-// until no new facts appear.
+// literals are materialized once; the strata of the IDB predicates (all
+// 0 in a program without negation) are evaluated bottom-up, each by
+// iterating its rules until no new facts appear, so negated literals
+// only consult fully computed predicates.
 func (p *Program) Eval(doc []byte) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			if l.Negated {
-				return p.EvalStratified(doc)
-			}
+	if err := p.validateNegation(); err != nil {
+		return nil, err
+	}
+	strata, err := p.Stratify()
+	if err != nil {
+		return nil, err
+	}
+	maxStratum := 0
+	for _, s := range strata {
+		if s > maxStratum {
+			maxStratum = s
 		}
 	}
+
 	res := &Result{doc: doc, preds: map[string]map[string]fact{}}
 
 	// Materialize spanner literals (cache by automaton pointer).
@@ -196,17 +205,21 @@ func (p *Program) Eval(doc []byte) (*Result, error) {
 		return true
 	}
 
-	// Naive-to-fixpoint with a semi-naive flavor: iterate until stable.
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules {
-			for _, binding := range p.matchBody(doc, r.Body, spanRel, res) {
-				f := make(fact, len(r.Head.Args))
-				for i, v := range r.Head.Args {
-					f[i] = binding[v]
+	for s := 0; s <= maxStratum; s++ {
+		for changed := true; changed; {
+			changed = false
+			for _, r := range p.Rules {
+				if strata[r.Head.Pred] != s {
+					continue
 				}
-				if add(r.Head.Pred, f) {
-					changed = true
+				for _, binding := range p.matchBody(doc, r.Body, spanRel, res) {
+					f := make(fact, len(r.Head.Args))
+					for i, v := range r.Head.Args {
+						f[i] = binding[v]
+					}
+					if add(r.Head.Pred, f) {
+						changed = true
+					}
 				}
 			}
 		}
@@ -237,12 +250,37 @@ func orderLiterals(body []Literal) []Literal {
 	return out
 }
 
-// matchBody enumerates all variable bindings satisfying the body.
+// matchBody enumerates all variable bindings satisfying the body; a
+// negated literal drops the bindings that match one of its facts.
 func (p *Program) matchBody(doc []byte, body []Literal, spanRel map[*automata.NFA]*spans.Relation, res *Result) []map[spans.Var]spans.Span {
 	bindings := []map[spans.Var]spans.Span{{}}
 	for _, l := range orderLiterals(body) {
 		var next []map[spans.Var]spans.Span
 		switch {
+		case l.Negated:
+			facts := res.preds[l.Atom.Pred]
+			for _, b := range bindings {
+				hit := false
+				for _, f := range facts {
+					if len(f) != len(l.Atom.Args) {
+						continue
+					}
+					match := true
+					for i, v := range l.Atom.Args {
+						if b[v] != f[i] {
+							match = false
+							break
+						}
+					}
+					if match {
+						hit = true
+						break
+					}
+				}
+				if !hit {
+					next = append(next, b)
+				}
+			}
 		case l.StrEq:
 			for _, b := range bindings {
 				x, y := b[l.Atom.Args[0]], b[l.Atom.Args[1]]

@@ -75,7 +75,7 @@ func checkCtxFlow(p *Pass, _ *ast.FuncType, body ast.Node, hasCtx bool) {
 }
 
 // isEvalEntryPoint matches the evaluation entry points of the engine:
-// Eval*, Enumerate*, Count* (EvalDocs, EnumerateCompressedContext,
+// Eval*, Enumerate*, Count* (EnumerateSource, EnumerateCompressedContext,
 // CountPoll, ...).
 func isEvalEntryPoint(name string) bool {
 	for _, prefix := range [3]string{"Eval", "Enumerate", "Count"} {

@@ -50,7 +50,8 @@ type listedPkg struct {
 // dependencies (net, ...) stay self-contained pure-Go; any residual
 // type errors in dependencies are tolerated — go/types produces a
 // usable (if incomplete) package — while type errors in the analyzed
-// packages themselves are reported on the returned Package.
+// packages themselves are reported on the returned Package. A matched
+// package that go list itself reports an error for fails the load.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -67,8 +68,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if m.ImportPath == "unsafe" {
 			continue
 		}
-		if m.Error != nil && m.DepOnly {
-			continue
+		if m.Error != nil {
+			if m.DepOnly {
+				continue
+			}
+			// A target go list could not load (a pattern naming no
+			// package, a missing import) would type-check as an empty
+			// package and analyze clean.
+			return nil, fmt.Errorf("package %s: %s", m.ImportPath, m.Error.Err)
 		}
 		target := !m.DepOnly && !m.Standard
 		mode := parser.SkipObjectResolution

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// PoolEscape enforces the pooled-buffer discipline of the serving layers
-// (pooled tuple buffers of the facade's parallel evaluation, evaluation
-// buffers and NDJSON encoders in internal/server): a buffer taken from a
-// pool is scoped to one request or one call. It
+// PoolEscape enforces the pooled-buffer discipline of the serving layer
+// (evaluation buffers and NDJSON encoders in internal/server): a buffer
+// taken from a pool is scoped to one request or one call. It
 // must go back — via Put, usually deferred — and it must not outlive
 // the scope by being returned or stored into longer-lived state, or two
 // requests end up sharing (and concurrently mutating) one buffer.
@@ -49,7 +48,7 @@ func runPoolEscape(p *Pass) {
 
 // putWrappers maps package-level function names to the set of pool
 // expressions they Put to — the repo's clear-before-put idiom
-// (putTupleBuf nils the tuple references, then Puts). A direct Get is
+// (putEvalBuf nils the tuple references, then Puts). A direct Get is
 // matched by a call to a wrapper that Puts to the same pool.
 func putWrappers(p *Pass) map[string]map[string]bool {
 	out := map[string]map[string]bool{}

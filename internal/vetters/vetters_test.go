@@ -74,3 +74,17 @@ func TestSpanvetRepoClean(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsUnmatchedPattern checks that a pattern go list cannot
+// resolve fails the load (cmd/spanvet exits 2) instead of analyzing an
+// empty package clean. That the whole repository loads without error is
+// TestSpanvetRepoClean's first check.
+func TestLoadRejectsUnmatchedPattern(t *testing.T) {
+	_, err := vetters.Load("../..", "./internal/nosuch/")
+	if err == nil {
+		t.Fatal("Load of a pattern matching no package returned no error")
+	}
+	if !strings.Contains(err.Error(), "internal/nosuch") {
+		t.Errorf("error %q does not name the pattern", err)
+	}
+}

@@ -1,6 +1,7 @@
 package docspanner_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -25,6 +26,13 @@ func word(i, bits int) string {
 		sb.WriteByte("ab"[(i>>k)&1])
 	}
 	return sb.String()
+}
+
+// countCompressed counts q's result tuples on the compressed document d;
+// CountSource cannot fail under a background context.
+func countCompressed(q *docspanner.Query, d *docspanner.Document) int {
+	n, _ := q.CountSource(context.Background(), docspanner.Compressed(d, nil))
+	return n
 }
 
 // TestFreshQueriesNeverAlias builds thousands of short-lived union and
@@ -82,7 +90,7 @@ func TestDroppedQueriesAreCollected(t *testing.T) {
 		use  func(q *docspanner.Query) int
 	}{
 		{"plain", func(q *docspanner.Query) int { return q.Eval(text).Len() + q.Count(text) }},
-		{"compressed", func(q *docspanner.Query) int { return q.CountCompressed(compressed) }},
+		{"compressed", func(q *docspanner.Query) int { return countCompressed(q, compressed) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(from, n int) {
@@ -128,8 +136,8 @@ func TestQueryHasOneIndex(t *testing.T) {
 	for _, phase := range []string{"cold", "flushed"} {
 		ix.Warm(d)
 		m0 := misses()
-		if got, want := q.CountCompressed(d), ix.Count(d); got != want || got == 0 {
-			t.Fatalf("%s: CountCompressed = %d, Index.Count = %d", phase, got, want)
+		if got, want := countCompressed(q, d), ix.Count(d); got != want || got == 0 {
+			t.Fatalf("%s: Query count = %d, Index.Count = %d", phase, got, want)
 		}
 		if m := misses() - m0; m != 0 {
 			t.Errorf("%s: evaluation after Index.Warm missed %d nodes: the query and its index do not share tables", phase, m)
@@ -170,8 +178,8 @@ func TestQueryRetainSweepsIndexAndCounter(t *testing.T) {
 	inner := func(d *docspanner.Document) int { return d.GrammarSize() - 2 } // leaves a, b
 	tabled := func(d *docspanner.Document) int { return slpmatch.TabledNodes(d.Node()) }
 	for _, d := range []*docspanner.Document{old, cur} {
-		if got, want := ix.ExactCount(d).Int64(), int64(q.CountCompressed(d)); got != want {
-			t.Fatalf("ExactCount = %d, CountCompressed = %d", got, want)
+		if got, want := ix.ExactCount(d).Int64(), int64(countCompressed(q, d)); got != want {
+			t.Fatalf("ExactCount = %d, Query count = %d", got, want)
 		}
 	}
 	if got, want := q.CachedNodes(), inner(old)+inner(cur)+tabled(old)+tabled(cur); got != want {

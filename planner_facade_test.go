@@ -112,8 +112,8 @@ func TestQueryIndexViaPlanner(t *testing.T) {
 	if got, want := q.EvalCompressed(d), q.Eval(doc); !got.Equal(want) {
 		t.Errorf("EvalCompressed %v, want %v", got, want)
 	}
-	if got, want := q.CountCompressed(d), q.Count(doc); got != want {
-		t.Errorf("CountCompressed = %d, want %d", got, want)
+	if got, err := q.CountSource(context.Background(), Compressed(d, nil)); err != nil || got != q.Count(doc) {
+		t.Errorf("CountSource on the compressed document = %d, %v; want %d", got, err, q.Count(doc))
 	}
 
 	// A string-equality selection leaves residual algebra: no index, but
@@ -124,47 +124,6 @@ func TestQueryIndexViaPlanner(t *testing.T) {
 	}
 	if got, want := sel.EvalCompressed(d), sel.Eval(doc); !got.Equal(want) {
 		t.Errorf("selection EvalCompressed %v, want %v", got, want)
-	}
-}
-
-func TestBatchHelpersTakeQueries(t *testing.T) {
-	ctx := context.Background()
-	q := abQuery(t, ".*!x{ab}.*")
-	docs := [][]byte{[]byte("abab"), []byte("bba"), []byte("aab")}
-	rels, err := EvalDocs(ctx, q, docs, ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("EvalDocs: %v", err)
-	}
-	for i, d := range docs {
-		if !rels[i].Equal(q.Eval(d)) {
-			t.Errorf("EvalDocs[%d] = %v, want %v", i, rels[i], q.Eval(d))
-		}
-	}
-	seen := 0
-	err = EnumerateDocs(ctx, q, docs, ParallelOptions{Workers: 2}, func(int, Tuple) bool {
-		seen++
-		return true
-	})
-	if err != nil {
-		t.Fatalf("EnumerateDocs: %v", err)
-	}
-	want := 0
-	for _, d := range docs {
-		want += q.Count(d)
-	}
-	if seen != want {
-		t.Errorf("EnumerateDocs delivered %d tuples, want %d", seen, want)
-	}
-
-	cdocs := []*Document{CompressDocument(docs[0]), DocumentFromBytes(docs[1])}
-	crels, err := EvalCompressedDocs(ctx, q, cdocs, ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("EvalCompressedDocs: %v", err)
-	}
-	for i, d := range cdocs {
-		if !crels[i].Equal(q.EvalCompressed(d)) {
-			t.Errorf("EvalCompressedDocs[%d] = %v, want %v", i, crels[i], q.EvalCompressed(d))
-		}
 	}
 }
 

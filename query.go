@@ -396,7 +396,7 @@ func (q *Query) String() string { return algebra.String(q.expr) }
 // π_Visible(ς=_{Z1} ... ς=_{Zk}(⟦M⟧)) of a query (Section 2.3). Like
 // Query it is immutable after construction and safe for concurrent Eval.
 // It satisfies Evaluator, so it can be compared against spanners and
-// queries with EquivalentUpTo and evaluated in batch with EvalDocs.
+// queries with EquivalentUpTo.
 type NormalForm struct {
 	cf           *algebra.CoreForm
 	schemaless   bool
