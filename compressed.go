@@ -298,6 +298,11 @@ func (q *Query) CachedNodes() int {
 	return n
 }
 
+// IndexElements reports the distinct per-node values the query's
+// compressed-evaluation indexes hold in their element tables, which
+// every grammar node with the same value shares.
+func (q *Query) IndexElements() int { return q.plan().Elements() }
+
 // counter returns the exact counter of the query's Index, nil until
 // ExactCount built one.
 func (q *Query) counter() *slpmatch.Counter {

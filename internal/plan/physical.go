@@ -516,6 +516,14 @@ func (pl *Planned) Retain(live []*slp.Node) int {
 	return n
 }
 
+// Elements reports the interned values in the element tables of every
+// index the plan's scans have built (see slpmatch.Index.Elements).
+func (pl *Planned) Elements() int {
+	n := 0
+	pl.builtIndexes(func(ix *slpmatch.Index) { n += ix.Elements() })
+	return n
+}
+
 // CachedNodes reports the inner SLP nodes cached over every index the
 // plan's scans have built.
 func (pl *Planned) CachedNodes() int {

@@ -158,7 +158,7 @@ func (m *metrics) get(table map[string]*atomic.Uint64, key string) uint64 {
 }
 
 // writeProm renders the Prometheus text exposition format.
-func (m *metrics) writeProm(w io.Writer, docs, queries, views, indexNodes int, st storage.Stats) {
+func (m *metrics) writeProm(w io.Writer, docs, queries, views, indexNodes, indexElements int, st storage.Stats) {
 	fmt.Fprintf(w, "# HELP spannerd_uptime_seconds Time since the server started.\n")
 	fmt.Fprintf(w, "# TYPE spannerd_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "spannerd_uptime_seconds %g\n", time.Since(m.start).Seconds())
@@ -256,6 +256,12 @@ func (m *metrics) writeProm(w io.Writer, docs, queries, views, indexNodes int, s
 	fmt.Fprintf(w, "# HELP spannerd_index_forgotten_nodes_total Per-node table entries deleted by sweeps after mutations superseded or deleted document versions (process-wide).\n")
 	fmt.Fprintf(w, "# TYPE spannerd_index_forgotten_nodes_total counter\n")
 	fmt.Fprintf(w, "spannerd_index_forgotten_nodes_total %d\n", slpmatch.ForgottenNodes())
+	fmt.Fprintf(w, "# HELP spannerd_index_elements Distinct per-node (P, E, E+) values interned in the element tables of every registered query's scan indexes, shared by all nodes with that value.\n")
+	fmt.Fprintf(w, "# TYPE spannerd_index_elements gauge\n")
+	fmt.Fprintf(w, "spannerd_index_elements %d\n", indexElements)
+	fmt.Fprintf(w, "# HELP spannerd_index_fold_fallbacks_total Block folds that found their index's step budget spent and derived the block's value from its bytes (process-wide).\n")
+	fmt.Fprintf(w, "# TYPE spannerd_index_fold_fallbacks_total counter\n")
+	fmt.Fprintf(w, "spannerd_index_fold_fallbacks_total %d\n", slpmatch.FoldFallbacks())
 }
 
 // writeStorageProm renders the durability backend's counters: WAL

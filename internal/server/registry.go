@@ -285,6 +285,18 @@ func (r *registry) cachedNodes() int {
 	return n
 }
 
+// indexElements sums the interned values in the element tables of every
+// registered query's compressed-evaluation indexes.
+func (r *registry) indexElements() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, p := range r.m {
+		n += p.query.IndexElements()
+	}
+	return n
+}
+
 func (r *registry) len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -381,7 +381,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.writeProm(w, s.store.len(), s.queries.len(), s.views.Len(), s.queries.cachedNodes(), s.storage.Stats())
+	s.metrics.writeProm(w, s.store.len(), s.queries.len(), s.views.Len(), s.queries.cachedNodes(), s.queries.indexElements(), s.storage.Stats())
 	return nil
 }
 

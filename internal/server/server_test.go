@@ -499,6 +499,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if own["docs"] != float64(1) || own["queries"] != float64(1) {
 		t.Fatalf("varz spannerd section: %v", own)
 	}
+
+	// A compressed /warm of a document with long nodes fills the query's
+	// element table.
+	do(t, s, "PUT", "/docs/long?compress=1", strings.Repeat("abba", 64))
+	code, _ := do(t, s, "POST", "/docs/long/warm?query=q", "")
+	mustStatus(t, code, 200, "warm")
+	if n := metricValue(t, s, "spannerd_index_elements"); n <= 0 {
+		t.Errorf("spannerd_index_elements = %v after a compressed /warm, want > 0", n)
+	}
+	metricValue(t, s, "spannerd_index_fold_fallbacks_total")
 }
 
 func TestHealthzAndFlush(t *testing.T) {

@@ -12,9 +12,10 @@ import (
 // Re-Pair-compressed log most nodes are blocks, and a block's |Q|²-bit
 // table is larger than its text, so the index stores none for it:
 //
-//   - a long node copies its block children's bytes into its own slab;
-//   - building a long node derives its block children's P/E/E⁺ data from
-//     their bytes in scratch (blockData) and combines it as usual;
+//   - a long node copies its block children's bytes into its own data;
+//   - building a long node folds each block child's bytes into its
+//     P/E/E⁺ element through the element table's step rows, deriving a
+//     missing step by blockData, and combines the elements as usual;
 //   - the walk reads a block as text (scan), firing mask edges byte by
 //     byte in the order a descent to its leaves would, and checks that a
 //     fired mask can still accept by stepping forward from it (meets)
@@ -167,16 +168,17 @@ func isZero(v []uint64) bool {
 	return true
 }
 
-// blockData computes into nd the P/E/E⁺ data of a block's text, with
-// one forward pass per start state p: S, the states the runs from p
-// reach; S⁺, those a run with at least one mask reaches; and the pure
-// run's state s. Per byte b, S becomes S·E_b, S⁺ becomes S⁺·E_b ∪
-// E⁺_b[s], and s becomes P_b(s) — combine's rules with a one-letter
-// right part. vecs is scratch for automata of more than 64 states,
-// allocated here on first use.
-func (ix *Index) blockData(nd *nodeData, text []byte, vecs *[4][]uint64) {
+// blockData computes into nd the P/E/E⁺ data of from's value followed
+// by a block's text, with one forward pass per start state p, starting
+// at from's rows of p: S, the states the runs from p reach; S⁺, those a
+// run with at least one mask reaches; and the pure run's state s. Per
+// byte b, S becomes S·E_b, S⁺ becomes S⁺·E_b ∪ E⁺_b[s], and s becomes
+// P_b(s) — combine's rules with a one-letter right part. From the empty
+// word's element it is the text's own data. vecs is scratch for automata
+// of more than 64 states, allocated here on first use.
+func (ix *Index) blockData(nd, from *elem, text []byte, vecs *[4][]uint64) {
 	if ix.words == 1 {
-		ix.blockData1(nd, text)
+		ix.blockData1(nd, from, text)
 		return
 	}
 	w := ix.words
@@ -187,11 +189,13 @@ func (ix *Index) blockData(nd *nodeData, text []byte, vecs *[4][]uint64) {
 	}
 	for p := 0; p < ix.nq; p++ {
 		cur, nxt, curP, nxtP := vecs[0], vecs[1], vecs[2], vecs[3]
-		clear(cur)
-		clear(curP)
-		automata.BitSet(cur, p)
-		s := int32(p)
+		copy(cur, from.em.Row(p))
+		copy(curP, from.ep.Row(p))
+		s := from.pure[p]
 		for _, b := range text {
+			if isZero(cur) {
+				break // S⁺ ⊆ S, and the pure run is in S: every run died
+			}
 			lt, em := ix.lt, ix.lt.rows(ix.lt.em, b)
 			clear(nxt)
 			clear(nxtP)
@@ -205,9 +209,6 @@ func (ix *Index) blockData(nd *nodeData, text []byte, vecs *[4][]uint64) {
 			}
 			cur, nxt = nxt, cur
 			curP, nxtP = nxtP, curP
-			if isZero(cur) {
-				break // S⁺ ⊆ S, and the pure run is in S: every run died
-			}
 		}
 		copy(nd.em.Row(p), cur)
 		copy(nd.ep.Row(p), curP)
@@ -217,15 +218,20 @@ func (ix *Index) blockData(nd *nodeData, text []byte, vecs *[4][]uint64) {
 
 // blockData1 is blockData for automata of at most 64 states, with S and
 // S⁺ in one word each.
-func (ix *Index) blockData1(nd *nodeData, text []byte) {
+func (ix *Index) blockData1(nd, from *elem, text []byte) {
 	lt := ix.lt
 	var at [blockLen]int
 	for j, b := range text {
 		at[j] = lt.at(b)
 	}
-	for p := 0; p < ix.nq; p++ {
-		cur, curP, s := uint64(1)<<uint(p), uint64(0), int32(p)
+	nq := ix.nq
+	for p := 0; p < nq; p++ {
+		// One word per row: E's row p is the slab's word p, E⁺'s word nq+p.
+		cur, curP, s := from.slab[p], from.slab[nq+p], from.pure[p]
 		for _, k := range at[:len(text)] {
+			if cur == 0 {
+				break
+			}
 			var nxt, nxtP uint64
 			for v := cur; v != 0; v &= v - 1 {
 				r := bits.TrailingZeros64(v)
@@ -238,11 +244,8 @@ func (ix *Index) blockData1(nd *nodeData, text []byte) {
 				s = lt.step[k+int(s)] >> 1
 			}
 			cur, curP = nxt, nxtP
-			if cur == 0 {
-				break
-			}
 		}
-		nd.em.Row(p)[0], nd.ep.Row(p)[0], nd.pure[p] = cur, curP, s
+		nd.slab[p], nd.slab[nq+p], nd.pure[p] = cur, curP, s
 	}
 }
 

@@ -127,7 +127,10 @@ func (ct *Counter) Flush() { ct.memo.flush() }
 // Retain forgets the count matrices of every node that no root of live
 // reaches, within the same budget as Index.Retain, and returns how many
 // nodes it forgot.
-func (ct *Counter) Retain(live []*slp.Node) int { return ct.memo.retain(live) }
+func (ct *Counter) Retain(live []*slp.Node) int {
+	n, _ := ct.memo.retain(live)
+	return n
+}
 
 // WarmDelta brings the count-matrix cache up to date after an edit that
 // turned oldRoot into newRoot, recomputing only the O(log d) fresh spine

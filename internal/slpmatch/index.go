@@ -1,6 +1,7 @@
 package slpmatch
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"docspanner/internal/automata"
@@ -9,59 +10,48 @@ import (
 )
 
 // nodeData is the per-node payload of an index, for a node longer than
-// blockLen: the deterministic pure-letter step function P, the
-// mask-anywhere reachability matrix E (at every boundary before a
-// letter, at most one mask may fire), and the at-least-one-mask matrix
-// E⁺ used to prune subtrees without result events. All three live in
-// one slab — E's rows, then E⁺'s, then P as int32s, then the text of
-// the node's block children — that em, ep, pure and text view; the
-// alive-vector pullback reads E directly (ApplyRightInto), so no
-// transpose is stored. The data links to its long children's data and
-// carries its own and its left child's text length, so the enumeration
-// walk reads no table and no SLP node.
+// blockLen: a pointer to the node's element — its deterministic
+// pure-letter step function P, its mask-anywhere reachability matrix E
+// (at every boundary before a letter, at most one mask may fire) and its
+// at-least-one-mask matrix E⁺, used to prune subtrees without result
+// events — which the Index interns by value, so every node with the
+// same value shares one (see elemTable); the alive-vector pullback reads
+// E directly (ApplyRightInto), so no transpose is stored. The data links
+// to its long children's data and carries the text of its block
+// children and its left child's text length, so the enumeration walk
+// reads no table and no SLP node.
 type nodeData struct {
-	em, ep automata.BoolMatrix
-	pure   []int32
-	l, r   *nodeData // nil for a block child
-	text   []byte    // the block children's bytes, the left one's first
-	ln, n  int64     // the left child's and the node's text length
+	e    *elem
+	l, r *nodeData // nil for a block child
+	text string    // the block children's bytes, the left one's first
+	ln   int64     // the left child's text length
 }
 
-// newNodeData allocates the data of a node of text length n over nq
-// states, with room for textLen bytes of block text: one zeroed slab,
-// with em, ep, pure and text (empty, capacity textLen) viewing it.
-func newNodeData(nq int, n int64, textLen int) *nodeData {
-	mw := nq * ((nq + 63) / 64)
-	pw := (nq + 1) / 2
-	slab := make([]uint64, 2*mw+pw+(textLen+7)/8)
-	nd := &nodeData{
-		em: automata.MatrixView(nq, slab[:mw]),
-		ep: automata.MatrixView(nq, slab[mw:2*mw]),
-		n:  n,
+// leftText returns the text of a block left child, and rightText that of
+// a block right child. The walk only reads them.
+func (nd *nodeData) leftText() []byte { return bytesOf(nd.text[:nd.ln]) }
+func (nd *nodeData) rightText() []byte {
+	if nd.l == nil {
+		return bytesOf(nd.text[nd.ln:])
 	}
-	if nq > 0 {
-		nd.pure = unsafe.Slice((*int32)(unsafe.Pointer(&slab[2*mw])), nq)
-	}
-	if textLen > 0 {
-		nd.text = unsafe.Slice((*byte)(unsafe.Pointer(&slab[2*mw+pw])), textLen)[:0]
-	}
-	return nd
+	return bytesOf(nd.text)
 }
 
-// leftText and rightText return the text of a block child.
-func (nd *nodeData) leftText() []byte  { return nd.text[:nd.ln] }
-func (nd *nodeData) rightText() []byte { return nd.text[int64(len(nd.text))-(nd.n-nd.ln):] }
+// bytesOf views s as a byte slice, which must not be written.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // Index enumerates a deterministic extended vset-automaton's spanner
 // over SLP-compressed documents. It owns the compiled automaton, dense
-// per-byte data, the final-alive vector, and the concurrent table of
-// the nodes longer than blockLen; an Index is safe for concurrent use,
-// and everything that holds the same Index shares its tables.
+// per-byte data, the final-alive vector, the concurrent table of the
+// nodes longer than blockLen and the element table their data points
+// into; an Index is safe for concurrent use, and everything that holds
+// the same Index shares its tables.
 type Index struct {
 	c          *automata.CompiledDEVA
 	nq         int
 	words      int
 	nodes      *nodeCache[*nodeData]
+	el         atomic.Pointer[elemTable] // nil until the first build
 	lt         *letterTable
 	quiet      []bool
 	finalAlive []uint64
@@ -95,18 +85,31 @@ func NewIndex(d *automata.DEVA) *Index {
 	return ix
 }
 
+// elems returns the element table, allocating it at first use.
+func (ix *Index) elems() *elemTable {
+	if t := ix.el.Load(); t != nil {
+		return t
+	}
+	ix.el.CompareAndSwap(nil, newElemTable(ix))
+	return ix.el.Load()
+}
+
 // node computes (memoized) the data of a node longer than blockLen.
 // Concurrent computation of the same node yields equal data;
 // last-write-wins is harmless.
 func (ix *Index) node(n *slp.Node) *nodeData { return (&builder{ix: ix}).node(n) }
 
 // builder computes long nodes' data for one caller — a Warm, a
-// WarmDelta, one WarmParallel worker — with scratch of its own for the
-// block children's data, allocated at the first block child, so
-// concurrent callers share nothing but the table.
+// WarmDelta, one WarmParallel worker — with scratch of its own,
+// allocated at first use, so concurrent callers share nothing but the
+// tables. It reads the element table once, at its first build, so a
+// Flush racing it leaves it on the old table, whose values are as good.
 type builder struct {
 	ix   *Index
-	l, r *nodeData   // a long node's block children's data
+	t    *elemTable
+	l, r *elem       // a block child's value once its fold passed the step budget
+	p    *elem       // a product or a step before it is interned
+	buf  []byte      // the block text of the node being built
 	vecs [4][]uint64 // blockData's forward pass above 64 states
 }
 
@@ -120,50 +123,136 @@ func (b *builder) node(n *slp.Node) *nodeData {
 }
 
 // build derives a long node's data from its children's: a long child's
-// from the table, a block child's from its bytes, which it copies into
-// the node's slab and steps through in scratch (blockData).
+// element from the table, a block child's by folding its bytes (fold),
+// and the node's as their product (product).
 func (b *builder) build(n *slp.Node) *nodeData {
-	ix := b.ix
+	if b.t == nil {
+		b.t = b.ix.elems()
+	}
 	l, r := n.Left(), n.Right()
-	var ld, rd *nodeData
-	textLen := 0
+	nd := &nodeData{ln: l.Len()}
 	if long(l) {
-		ld = b.node(l)
-	} else {
-		textLen += int(l.Len())
+		nd.l = b.node(l)
 	}
 	if long(r) {
-		rd = b.node(r)
+		nd.r = b.node(r)
+	}
+	// The children are built; the text buffer is this node's.
+	b.buf = b.buf[:0]
+	if nd.l == nil {
+		b.buf = appendText(b.buf, l)
+	}
+	if nd.r == nil {
+		b.buf = appendText(b.buf, r)
+	}
+	if len(b.buf) > 0 {
+		nd.text = string(b.buf)
+	}
+	var le, re *elem
+	lok, rok := true, true
+	if nd.l != nil {
+		le = nd.l.e
 	} else {
-		textLen += int(r.Len())
+		le, lok = b.fold(nd.leftText(), &b.l)
 	}
-	nd := newNodeData(ix.nq, n.Len(), textLen)
-	nd.l, nd.r, nd.ln = ld, rd, l.Len()
-	if ld == nil {
-		nd.text = appendText(nd.text, l)
-		ld = b.scratch(&b.l)
-		ix.blockData(ld, nd.leftText(), &b.vecs)
+	if nd.r != nil {
+		re = nd.r.e
+	} else {
+		re, rok = b.fold(nd.rightText(), &b.r)
 	}
-	if rd == nil {
-		nd.text = appendText(nd.text, r)
-		rd = b.scratch(&b.r)
-		ix.blockData(rd, nd.rightText(), &b.vecs)
-	}
-	ix.combine(nd, ld, rd)
+	nd.e = b.product(le, re, lok && rok)
 	return nd
 }
 
+// fold returns the element of a block's text: the empty word's element
+// stepped through the text's letter classes, one lookup per byte once
+// the step rows hold them, with each missing step derived from its
+// source by blockData and interned (fill). ok is false when a missing
+// step is needed after the table's step budget ran out: the rest of the
+// text is then folded by blockData into *sd, allocated on first use,
+// and the value is returned from there, uninterned.
+func (b *builder) fold(text []byte, sd **elem) (e *elem, ok bool) {
+	e = b.t.empty
+	for j, c := range text {
+		k := b.ix.lt.class[c]
+		if nx := e.step(k); nx != nil {
+			e = nx
+			continue
+		}
+		var nx *elem
+		if !b.t.full.Load() {
+			nx = b.fill(e, k, text[j:j+1])
+		}
+		if nx == nil {
+			s := b.scratch(sd)
+			b.ix.blockData(s, e, text[j:], &b.vecs)
+			foldFallbacks.Add(1)
+			return s, false
+		}
+		e = nx
+	}
+	return e, true
+}
+
+// fill derives e's successor over letter, of class k, interns it and
+// records the step in e's step row. It returns nil if the table's step
+// budget ran out meanwhile.
+func (b *builder) fill(e *elem, k uint16, letter []byte) *elem {
+	s := b.scratch(&b.p)
+	b.ix.blockData(s, e, letter, &b.vecs)
+	t := b.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if nx := e.step(k); nx != nil {
+		return nx // a concurrent fold filled it
+	}
+	if t.full.Load() {
+		return nil
+	}
+	nx := t.byValue[s.key()]
+	if nx == nil {
+		nx = t.add(s)
+		t.prefixes++
+	}
+	t.setStep(e, k, nx)
+	return nx
+}
+
+// product returns the element of the concatenation of values l and r:
+// with memo (both are interned), a lookup in the product memo first;
+// otherwise, or on a miss, combine into scratch and intern the result.
+func (b *builder) product(l, r *elem, memo bool) *elem {
+	t, key := b.t, [2]*elem{l, r}
+	if memo {
+		t.mu.Lock()
+		e := t.prod[key]
+		t.mu.Unlock()
+		if e != nil {
+			return e
+		}
+	}
+	s := b.scratch(&b.p)
+	b.ix.combine(s, l, r)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.products++
+	e := t.intern(s)
+	if memo {
+		t.prod[key] = e
+	}
+	return e
+}
+
 // scratch returns *sd, allocating it on first use.
-func (b *builder) scratch(sd **nodeData) *nodeData {
+func (b *builder) scratch(sd **elem) *elem {
 	if *sd == nil {
-		*sd = newNodeData(b.ix.nq, 0, 0)
+		*sd = newElem(b.ix.nq)
 	}
 	return *sd
 }
 
-// combine derives a concatenation node's data from its children's,
-// writing straight into the node's slab.
-func (ix *Index) combine(nd, l, r *nodeData) {
+// combine derives a concatenation's value from its parts' into nd.
+func (ix *Index) combine(nd, l, r *elem) {
 	nq := ix.nq
 	for q := 0; q < nq; q++ {
 		if l.pure[q] >= 0 {
@@ -191,22 +280,50 @@ func (ix *Index) combine(nd, l, r *nodeData) {
 func (ix *Index) DEVA() *automata.DEVA { return ix.c.DEVA }
 
 // Flush empties the node table in place, releasing the per-node data of
-// every document seen so far. Safe while other goroutines warm,
-// enumerate or count on the same Index: they recompute what they miss,
-// and everything that holds this Index keeps sharing the one table.
-func (ix *Index) Flush() { ix.nodes.flush() }
+// every document seen so far, and replaces the element table by a fresh
+// one that holds only the empty word's and the letters' elements. Safe
+// while other goroutines warm, enumerate or count on the same Index:
+// they recompute what they miss, and everything that holds this Index
+// keeps sharing the one table.
+func (ix *Index) Flush() {
+	ix.nodes.flush()
+	if ix.el.Load() != nil {
+		ix.el.Store(newElemTable(ix))
+	}
+}
 
 // Retain forgets the per-node data of every node that no root of live
 // reaches — the versions the database has superseded or deleted — and
-// returns how many nodes it forgot. live must list every document the
-// Index is still meant to serve warm; a live node it misses is merely
-// recomputed on its next use. The sweep walks the live DAG, so it runs
-// only once the table has grown past its budget since the last sweep
-// (see the package's table lifetime rule); other calls return 0 at the
-// cost of a size count. Safe while other goroutines warm, enumerate or
-// count on the same Index, like Flush: a walk in flight follows the
+// returns how many nodes it forgot; a sweep also drops from the element
+// table and its memos every element that no retained node references,
+// except the empty word's and the letters'. live must list every
+// document the Index is still meant to serve warm; a live node it misses
+// is merely recomputed on its next use. The sweep walks the live DAG, so
+// it runs only once the table has grown past its budget since the last
+// sweep (see the package's table lifetime rule); other calls return 0 at
+// the cost of a size count. Safe while other goroutines warm, enumerate
+// or count on the same Index, like Flush: a walk in flight follows the
 // data links it already holds and looks nothing up.
-func (ix *Index) Retain(live []*slp.Node) int { return ix.nodes.retain(live) }
+func (ix *Index) Retain(live []*slp.Node) int {
+	n, swept := ix.nodes.retain(live)
+	if t := ix.el.Load(); swept && t != nil {
+		t.sweep(func(keep func(*elem)) {
+			ix.nodes.each(func(nd *nodeData) { keep(nd.e) })
+		})
+	}
+	return n
+}
+
+// Elements reports the number of elements in this Index's element
+// table: the distinct (P, E, E⁺) values of its tabled nodes and of the
+// block prefixes its folds stepped through, and those of the empty word
+// and of each letter.
+func (ix *Index) Elements() int {
+	if t := ix.el.Load(); t != nil {
+		return t.len()
+	}
+	return 0
+}
 
 // Warm precomputes the index for all long nodes of a document — the
 // preprocessing phase, linear in the SLP size (data complexity). A
@@ -247,7 +364,7 @@ func (ix *Index) WarmDelta(oldRoot, newRoot *slp.Node) WarmStats {
 // in compressed time (no decompression beyond a block root's text).
 func (ix *Index) NonEmpty(root *slp.Node) bool {
 	if long(root) {
-		v := ix.node(root).em.ApplyRight(ix.finalAlive)
+		v := ix.node(root).e.em.ApplyRight(ix.finalAlive)
 		return vecGet(v, ix.c.Start)
 	}
 	var text []byte
@@ -469,8 +586,8 @@ func (e *cenum) walk(nd *nodeData, q int, av []uint64, off int64, next int, even
 		return -1
 	}
 	// Prune whole subtrees without productive events.
-	if !rowMeets(&nd.ep, q, av) {
-		return nd.pure[q]
+	if !rowMeets(&nd.e.ep, q, av) {
+		return nd.e.pure[q]
 	}
 	e.expanded++
 	// Make the right part a frame for the events of the left one, and
@@ -480,7 +597,7 @@ func (e *cenum) walk(nd *nodeData, q int, av []uint64, off int64, next int, even
 	rOff := off + nd.ln
 	exit := int32(-1)
 	if r := nd.r; r != nil {
-		avL := r.em.ApplyRightInto(e.getVec(), av)
+		avL := r.e.em.ApplyRightInto(e.getVec(), av)
 		e.frames = append(e.frames, frame{nd: r, av: av, off: rOff, next: next})
 		top := len(e.frames) - 1
 		ls := e.left(nd, q, nil, avL, off, top, events, acc)
@@ -493,7 +610,7 @@ func (e *cenum) walk(nd *nodeData, q int, av []uint64, off int64, next int, even
 	}
 	if nd.l == nil {
 		// Two blocks: one text.
-		return e.scan(nd.text, nil, nil, av, q, off, next, events, acc)
+		return e.scan(bytesOf(nd.text), nil, nil, av, q, off, next, events, acc)
 	}
 	rt := nd.rightText()
 	e.frames = append(e.frames, frame{text: rt, av: av, off: rOff, next: next})
@@ -519,10 +636,10 @@ func (e *cenum) left(nd *nodeData, q int, tail []byte, av []uint64, off int64, n
 		return e.walk(l, q, av, off, next, events, acc)
 	}
 	v := e.getVec()
-	copy(v, l.ep.Row(q))
+	copy(v, l.e.ep.Row(q))
 	if !e.meets(v, tail, nil, av) {
 		e.putVec(v)
-		return l.pure[q]
+		return l.e.pure[q]
 	}
 	copy(v, av)
 	e.pull(v, tail)

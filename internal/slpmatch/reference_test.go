@@ -26,8 +26,9 @@ func refTable(ix *Index, root *slp.Node) map[*slp.Node]*refData {
 		if d, ok := tab[n]; ok {
 			return d
 		}
-		d := &refData{pure: make([]int32, nq), em: automata.NewBoolMatrix(nq), ep: automata.NewBoolMatrix(nq)}
+		var d *refData
 		if n.IsLeaf() {
+			d = &refData{pure: make([]int32, nq), em: automata.NewBoolMatrix(nq), ep: automata.NewBoolMatrix(nq)}
 			b := n.LeafByte()
 			for q := 0; q < nq; q++ {
 				d.pure[q] = c.Step(q, b)
@@ -42,34 +43,7 @@ func refTable(ix *Index, root *slp.Node) map[*slp.Node]*refData {
 				}
 			}
 		} else {
-			l, r := data(n.Left()), data(n.Right())
-			for p := 0; p < nq; p++ {
-				d.pure[p] = -1
-				if s := l.pure[p]; s >= 0 {
-					d.pure[p] = r.pure[s]
-					for q := 0; q < nq; q++ {
-						if r.ep.Get(int(s), q) {
-							d.ep.Set(p, q)
-						}
-					}
-				}
-				for k := 0; k < nq; k++ {
-					lm, lp := l.em.Get(p, k), l.ep.Get(p, k)
-					if !lm && !lp {
-						continue
-					}
-					for q := 0; q < nq; q++ {
-						if r.em.Get(k, q) {
-							if lm {
-								d.em.Set(p, q)
-							}
-							if lp {
-								d.ep.Set(p, q)
-							}
-						}
-					}
-				}
-			}
+			d = refConcat(nq, data(n.Left()), data(n.Right()))
 		}
 		tab[n] = d
 		return d
@@ -78,6 +52,41 @@ func refTable(ix *Index, root *slp.Node) map[*slp.Node]*refData {
 		data(root)
 	}
 	return tab
+}
+
+// refConcat derives the data of a concatenation AB from its parts' by
+// the definitions: P_AB = P_B∘P_A, E_AB = E_A·E_B and E⁺_AB = E⁺_A·E_B ∨
+// P_A;E⁺_B.
+func refConcat(nq int, l, r *refData) *refData {
+	d := &refData{pure: make([]int32, nq), em: automata.NewBoolMatrix(nq), ep: automata.NewBoolMatrix(nq)}
+	for p := 0; p < nq; p++ {
+		d.pure[p] = -1
+		if s := l.pure[p]; s >= 0 {
+			d.pure[p] = r.pure[s]
+			for q := 0; q < nq; q++ {
+				if r.ep.Get(int(s), q) {
+					d.ep.Set(p, q)
+				}
+			}
+		}
+		for k := 0; k < nq; k++ {
+			lm, lp := l.em.Get(p, k), l.ep.Get(p, k)
+			if !lm && !lp {
+				continue
+			}
+			for q := 0; q < nq; q++ {
+				if r.em.Get(k, q) {
+					if lm {
+						d.em.Set(p, q)
+					}
+					if lp {
+						d.ep.Set(p, q)
+					}
+				}
+			}
+		}
+	}
+	return d
 }
 
 // refEach is Index.Each on the reference walk over the table tab.

@@ -16,11 +16,16 @@
 // belong to, so a persistent Index amortizes across the documents of a
 // database — and across goroutines — and is maintained for free under
 // CDE updates: an update adds O(log d) fresh nodes, and only those need
-// new matrices (Section 4.3). An Index tables only the nodes longer than
-// a short block and reads shorter subtrees as text (block.go). Sharing
-// tables means sharing the instance; dropping the instance frees them,
-// and Retain frees the data of document versions the database no longer
-// holds.
+// new matrices (Section 4.3), each a lookup or one product. An Index
+// tables only the nodes longer than a short block and reads shorter
+// subtrees as text (block.go), and a tabled node points at its matrices,
+// which the Index interns once per distinct value: they depend on the
+// node's text only through the automaton's transition monoid, so
+// combining two children whose values were combined before is a lookup,
+// and a block's value is a fold of its bytes through a step table
+// (cache.go). Sharing tables means sharing the instance; dropping the
+// instance frees them, and Retain frees the data of document versions
+// the database no longer holds.
 //
 // Index and Counter are safe for concurrent use. The automaton an
 // instance is built on must not be mutated afterwards.

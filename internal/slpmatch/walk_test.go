@@ -460,9 +460,10 @@ func TestTablesOnlyOnLongNodes(t *testing.T) {
 }
 
 // TestWarmAllocsPerNode bounds the heap objects warming allocates per
-// inner SLP node of the log corpus: the node's struct and its one slab
-// (E, E⁺ and P), plus the table's amortized growth. It logs the live
-// bytes per node, the figure §4.2's |Q|²-bit bound is about.
+// inner SLP node of the log corpus: the node's struct and its block
+// text, plus the table's amortized growth and the few shared elements
+// (E, E⁺ and P) the nodes point at. It logs the live bytes per node, the
+// figure §4.2's |Q|²-bit bound is about.
 func TestWarmAllocsPerNode(t *testing.T) {
 	root := compressedLog(rand.New(rand.NewSource(1)), 8, 16<<10, 16)
 	for _, q := range logQueries {
@@ -485,5 +486,48 @@ func TestWarmAllocsPerNode(t *testing.T) {
 			t.Errorf("%s: Warm allocated %.2f heap objects per cached node, want ≤ 2.1", q.name, perNode)
 		}
 		runtime.KeepAlive(ix)
+	}
+}
+
+// adversarialPattern's values barely repeat on random {a, b} text: a
+// long node's value depends on its first and its last five letters, so
+// on 16 and 32 KiB of such text most long nodes have a value of their
+// own (384 of 511 and 613 of 1,023), and the block folds fill the whole
+// step budget.
+const adversarialPattern = `(a|b)*!x{a(a|b){4}}|!y{(a|b){4}b}(a|b)*`
+
+// BenchmarkWarmAdversarial warms a fresh index of adversarialPattern on
+// 16, 32 and 64 KiB of random {a, b} text, reporting ns per document and
+// the live bytes the warm index holds per long node — the worst case
+// for sharing values between nodes.
+func BenchmarkWarmAdversarial(b *testing.B) {
+	node, err := regex.Parse(adversarialPattern)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nfa, err := regex.Compile(node, regex.Options{Alphabet: []byte("ab")})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := automata.Determinize(nfa)
+	for _, size := range []int{16 << 10, 32 << 10, 64 << 10} {
+		root := randomDoc(rand.New(rand.NewSource(1)), size)
+		b.Run(fmt.Sprint(size>>10, "KiB"), func(b *testing.B) {
+			runtime.GC()
+			var before, live runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ix := NewIndex(d)
+			ix.Warm(root)
+			runtime.GC()
+			runtime.ReadMemStats(&live)
+			nodes := ix.CachedNodes()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				NewIndex(d).Warm(root)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/doc")
+			b.ReportMetric(float64(int64(live.HeapAlloc)-int64(before.HeapAlloc))/float64(nodes), "live-B/node")
+			runtime.KeepAlive(ix)
+		})
 	}
 }
