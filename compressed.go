@@ -157,14 +157,6 @@ func (s *Spanner) Index() (*Index, error) {
 // shared nodes across documents are processed once).
 func (ix *Index) Warm(d *Document) { ix.ix.Warm(d.Node()) }
 
-// WarmParallel is Warm with the independent nodes of each SLP DAG level
-// computed concurrently by workers goroutines (GOMAXPROCS if
-// workers ≤ 0) — the preprocessing of a large document spread over
-// cores.
-func (ix *Index) WarmParallel(d *Document, workers int) {
-	ix.ix.WarmParallel(d.Node(), workers)
-}
-
 // WarmStats reports the work one WarmDelta call did: nodes recomputed
 // (the O(log d) edit spine), distinct cached subtree roots reused, and
 // nodes already cached before the call. It aliases the slpmatch type so

@@ -248,7 +248,7 @@ func TestSharedIndexConcurrentUse(t *testing.T) {
 }
 
 // TestWarmDBParallelBatch warms a batch of documents with shared
-// structure through one Index with WarmParallel, then evaluates the batch
+// structure through one Index with Warm, then evaluates the batch
 // on that Index from 4 goroutines at once; with -race this proves the
 // warmed shared tables are read without races.
 func TestWarmDBParallelBatch(t *testing.T) {
@@ -263,7 +263,7 @@ func TestWarmDBParallelBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range docs {
-		ix.WarmParallel(d, 4)
+		ix.Warm(d)
 	}
 	want := make([]int, len(docs))
 	for i, d := range docs {

@@ -23,23 +23,31 @@ import (
 //     names, or in one of them for a `./...` pattern; the pattern '^$',
 //     which selects nothing on purpose, is exempt;
 //   - a `go run` line must name a main package of the repository that
-//     defines, with the flag package, every flag the line passes.
+//     defines, with the flag package, every flag the line passes;
+//   - a `curl` line's method and path must match a pattern of spannerd's
+//     route table (internal/server/pipeline.go's routes).
 //
-// It follows `cd` within a block and skips the commands of a block once
-// it leaves the repository; a document must hold at least one command.
-// It reads the sources with go/parser and starts no process.
+// It follows `cd` within a block and skips the go commands of a block
+// once it leaves the repository; a document must hold at least one go
+// command. It reads the sources with go/parser and starts no process.
 func TestDocCommands(t *testing.T) {
-	for _, doc := range []string{"README.md", "docs/TUTORIAL.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	routes := serverRoutes(t)
+	curls := 0
+	for _, doc := range []string{"README.md", "docs/TUTORIAL.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "bench/README.md"} {
 		md, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cmds := docCommands(string(md))
-		if len(cmds) == 0 {
-			t.Errorf("%s: no go test or go run line in a fenced block", doc)
-		}
+		goCmds := 0
 		for _, c := range cmds {
 			where := doc + ":" + strconv.Itoa(c.line)
+			if c.args[0] == "curl" {
+				curls++
+				checkCurl(t, where, routes, c.args[1:])
+				continue
+			}
+			goCmds++
 			switch {
 			case c.dir == "":
 				t.Logf("%s: runs outside the repository, not checked", where)
@@ -49,20 +57,27 @@ func TestDocCommands(t *testing.T) {
 				checkGoRun(t, where, c.dir, c.args[2:])
 			}
 		}
+		if goCmds == 0 {
+			t.Errorf("%s: no go test or go run line in a fenced block", doc)
+		}
+	}
+	if curls == 0 {
+		t.Error("no curl line in a fenced block of any document")
 	}
 }
 
-// docCommand is one `go test` or `go run` command of a fenced block: its
-// words, the directory it runs in relative to the repository root ("" once
-// its block has left the repository), and the line it starts on.
+// docCommand is one `go test`, `go run` or `curl` command of a fenced
+// block: its words, the directory it runs in relative to the repository
+// root ("" once its block has left the repository), and the line it
+// starts on.
 type docCommand struct {
 	line int
 	dir  string
 	args []string
 }
 
-// docCommands returns the go test and go run commands of md's fenced
-// blocks. A line may carry a "$ " prompt, a trailing comment and
+// docCommands returns the go test, go run and curl commands of md's
+// fenced blocks. A line may carry a "$ " prompt, a trailing comment and
 // backslash continuations; commands joined by &&, ||, ;, | or & are
 // split, and redirections dropped.
 func docCommands(md string) []docCommand {
@@ -96,7 +111,8 @@ func docCommands(md string) []docCommand {
 				} else if dir != "" {
 					dir = path.Join(dir, words[1])
 				}
-			case len(words) >= 2 && words[0] == "go" && (words[1] == "test" || words[1] == "run"):
+			case words[0] == "curl",
+				len(words) >= 2 && words[0] == "go" && (words[1] == "test" || words[1] == "run"):
 				out = append(out, docCommand{start, dir, words})
 			}
 		}
@@ -368,4 +384,121 @@ func mainFlags(t *testing.T, dir string) (map[string]bool, bool) {
 var flagKinds = map[string]bool{
 	"Bool": true, "Duration": true, "Float64": true, "Int": true, "Int64": true,
 	"String": true, "Uint": true, "Uint64": true,
+}
+
+// serverRoutes returns the patterns of spannerd's route table, read from
+// the composite literal of internal/server/pipeline.go's routes: each
+// row's first field, "METHOD /path/{wildcard}".
+func serverRoutes(t *testing.T) []string {
+	t.Helper()
+	af, err := parser.ParseFile(token.NewFileSet(), "internal/server/pipeline.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []string
+	for _, decl := range af.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if len(vs.Names) != 1 || vs.Names[0].Name != "routes" || len(vs.Values) != 1 {
+				continue
+			}
+			for _, row := range vs.Values[0].(*ast.CompositeLit).Elts {
+				lit := row.(*ast.CompositeLit).Elts[0].(*ast.BasicLit)
+				p, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				patterns = append(patterns, p)
+			}
+		}
+	}
+	if len(patterns) == 0 {
+		t.Fatal("internal/server/pipeline.go: no routes table")
+	}
+	return patterns
+}
+
+// curlValueFlags are the curl options the docs use that take a value.
+var curlValueFlags = map[string]bool{
+	"X": true, "request": true, "d": true, "data": true, "data-binary": true, "data-raw": true,
+	"H": true, "header": true, "o": true, "output": true, "w": true, "write-out": true,
+}
+
+// checkCurl checks that one curl command's method and path match a
+// route pattern. The method is -X's, or POST with a body and GET
+// without; the URL is the first word that is no option or option value.
+func checkCurl(t *testing.T, where string, routes, args []string) {
+	t.Helper()
+	method, url, body := "", "", false
+	for i := 0; i < len(args); i++ {
+		a := args[i]
+		if !strings.HasPrefix(a, "-") {
+			if url == "" {
+				url = a
+			}
+			continue
+		}
+		name := strings.TrimLeft(a, "-")
+		if m, ok := strings.CutPrefix(a, "-X"); ok && m != "" {
+			method = m // -XPOST
+			continue
+		}
+		if !curlValueFlags[name] {
+			continue // -s, -N, --fail, …
+		}
+		if i+1 == len(args) {
+			t.Errorf("%s: curl %s has no value", where, a)
+			return
+		}
+		i++
+		switch name {
+		case "X", "request":
+			method = args[i]
+		case "d", "data", "data-binary", "data-raw":
+			body = true
+		}
+	}
+	if url == "" {
+		t.Errorf("%s: curl names no URL", where)
+		return
+	}
+	if method == "" {
+		method = "GET"
+		if body {
+			method = "POST"
+		}
+	}
+	u := strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
+	p := "/"
+	if i := strings.IndexByte(u, '/'); i >= 0 {
+		p = u[i:]
+	}
+	p, _, _ = strings.Cut(p, "?")
+	for _, r := range routes {
+		if routeMatches(r, method, p) {
+			return
+		}
+	}
+	t.Errorf("%s: curl %s %s matches no route of internal/server/pipeline.go", where, method, p)
+}
+
+// routeMatches reports whether a net/http mux pattern "METHOD /a/{b}"
+// serves method on path; a {name} segment matches any one nonempty
+// segment. (The route table has no {name...} wildcard.)
+func routeMatches(pattern, method, path string) bool {
+	m, pat, _ := strings.Cut(pattern, " ")
+	ps, segs := strings.Split(pat, "/"), strings.Split(path, "/")
+	if m != method || len(ps) != len(segs) {
+		return false
+	}
+	for i, s := range ps {
+		if strings.HasPrefix(s, "{") && segs[i] == "" || !strings.HasPrefix(s, "{") && s != segs[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -410,7 +410,6 @@ func TestClusterRejectsMalformedIntParams(t *testing.T) {
 		{"GET", "/stream?query=q&docs=*&limit=-1", "limit"},
 		{"GET", "/stream?query=q&doc=" + d1 + "&limit=-1", "limit"},
 		{"GET", "/docs/" + d0 + "/changes?query=q&since=abc", "since"},
-		{"POST", "/docs/" + d0 + "/warm?query=q&workers=-1", "workers"},
 	} {
 		code, body := tc.json(t, c.method, c.path, "")
 		mustStatus(t, code, 400, c.path)

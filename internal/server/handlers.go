@@ -113,10 +113,9 @@ func (s *Server) handleDocEdit(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleDocWarm runs the compressed-evaluation preprocessing of a
-// prepared query (?query=) over the named document, spreading the
-// independent SLP DAG levels over ?workers= goroutines (at most
-// GOMAXPROCS, which is also the default). 422 when the query's plan does
-// not fuse to a single regular scan.
+// prepared query (?query=) over the named document: one bottom-up pass
+// over the nodes the query's index has no data for yet. 422 when the
+// query's plan does not fuse to a single regular scan.
 func (s *Server) handleDocWarm(w http.ResponseWriter, r *http.Request) error {
 	d, err := s.store.get(r.PathValue("name"))
 	if err != nil {
@@ -130,12 +129,8 @@ func (s *Server) handleDocWarm(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return &httpError{status: 422, message: err.Error()}
 	}
-	workers, err := intParam(r, "workers", 0)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	ix.WarmParallel(d.doc, min(workers, runtime.GOMAXPROCS(0)))
+	ix.Warm(d.doc)
 	writeJSON(w, 200, map[string]any{
 		"doc":          d.name,
 		"query":        p.name,

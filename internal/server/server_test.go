@@ -379,7 +379,7 @@ func TestWarmEndpoint(t *testing.T) {
 	// selection keeps residual algebra in the plan.
 	do(t, s, "PUT", "/queries/multi", `{"src": "seleq(x,y; join(.*!x{a(b|c)}.*; .*!y{ab}.*))"}`)
 
-	code, _ := do(t, s, "POST", "/docs/d/warm?query=single&workers=2", "")
+	code, _ := do(t, s, "POST", "/docs/d/warm?query=single", "")
 	mustStatus(t, code, 200, "warm single-scan")
 	code, _ = do(t, s, "POST", "/docs/d/warm?query=multi", "")
 	mustStatus(t, code, 422, "warm non-single-scan")
@@ -411,9 +411,8 @@ func TestTimeoutsAndLimiter(t *testing.T) {
 	mustStatus(t, code, 503, "limiter full")
 }
 
-// TestIntParamsRejectMalformed: a malformed or negative ?limit=, ?since=
-// or ?workers= is a 400 naming the parameter, never a silent default; a
-// huge ?workers= is clamped to GOMAXPROCS.
+// TestIntParamsRejectMalformed: a malformed or negative ?limit= or
+// ?since= is a 400 naming the parameter, never a silent default.
 func TestIntParamsRejectMalformed(t *testing.T) {
 	s := newTestServer(t, Config{})
 	do(t, s, "PUT", "/docs/d?compress=1", strings.Repeat("ab", 50))
@@ -426,8 +425,6 @@ func TestIntParamsRejectMalformed(t *testing.T) {
 		{"GET", "/stream?query=q&doc=d&limit=-1", "limit"},
 		{"GET", "/docs/d/changes?query=q&since=abc", "since"},
 		{"GET", "/docs/d/changes?query=q&since=-3", "since"},
-		{"POST", "/docs/d/warm?query=q&workers=many", "workers"},
-		{"POST", "/docs/d/warm?query=q&workers=-2", "workers"},
 	} {
 		code, body := do(t, s, c.method, c.target, "")
 		mustStatus(t, code, 400, c.target)
@@ -445,8 +442,6 @@ func TestIntParamsRejectMalformed(t *testing.T) {
 			t.Fatalf("%s: %d lines, want 50 tuples and a summary", target, lines)
 		}
 	}
-	code, _ = do(t, s, "POST", "/docs/d/warm?query=q&workers=1000000", "")
-	mustStatus(t, code, 200, "warm with huge workers")
 }
 
 func TestMetricsEndpoint(t *testing.T) {

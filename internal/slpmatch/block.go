@@ -24,10 +24,10 @@ import (
 //   - a fired mask whose successor is quiet (no run from it takes a
 //     mask) stands for exactly one tuple, emitted without walking on.
 //
-// Every traversal of the table (Warm, WarmParallel, WarmDelta, Retain's
-// sweep) stops at blocks, so a block is never "uncached". The delay
-// between two tuples becomes O(ord(root) + blockLen) steps instead of
-// O(ord(root)) — still independent of |D|.
+// Every traversal of the table (Warm, WarmDelta, Retain's sweep) stops
+// at blocks, so a block is never "uncached". The delay between two
+// tuples becomes O(ord(root) + blockLen) steps instead of O(ord(root))
+// — still independent of |D|.
 
 // blockLen is B, the length of the longest SLP node the index reads as
 // text instead of keeping a table for.

@@ -1,7 +1,6 @@
 package slpmatch
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -297,13 +296,10 @@ func WarmDeltaStats() (recomputed, reused uint64) {
 // uncached, so the walk touches the spine plus its cached boundary and
 // nothing below it. ensure warms a baseline root first (a single cache
 // hit when oldRoot is already warm; a full warm otherwise, so WarmDelta
-// is correct — merely not incremental — on a cold table). compute must
-// derive n's data from its children's and store it; the levels run in
-// order, so a node's children are stored before it, and compute derives
-// any a concurrent Flush dropped on demand.
-//
-// The spine is processed sequentially: it is O(ord) nodes, far below the
-// level-parallel threshold that pays off in warmParallel.
+// is correct — merely not incremental — on a cold table). The visit is
+// post-order, so compute, which must derive n's data from its children's
+// and store it, finds the children stored; it derives any a concurrent
+// Flush dropped on demand.
 func (c *nodeCache[V]) warmDelta(oldRoot, newRoot *slp.Node, ensure, compute func(*slp.Node)) WarmStats {
 	st := WarmStats{CachedBefore: c.len()}
 	if newRoot == nil {
@@ -312,25 +308,6 @@ func (c *nodeCache[V]) warmDelta(oldRoot, newRoot *slp.Node, ensure, compute fun
 	if oldRoot != nil {
 		ensure(oldRoot)
 	}
-	levels, reused := c.uncached(newRoot)
-	for _, level := range levels {
-		for _, n := range level {
-			compute(n)
-		}
-		st.Recomputed += len(level)
-	}
-	st.Reused = reused
-	warmRecomputedTotal.Add(uint64(st.Recomputed))
-	warmReusedTotal.Add(uint64(st.Reused))
-	return st
-}
-
-// uncached gathers the distinct tabled nodes of root's DAG that have no
-// data yet, grouped by Order, and counts the distinct cached nodes it
-// pruned at. Order(n) = 1 + max(order of children), so all nodes of one
-// order are pairwise independent: level-by-level processing gives a
-// race-free parallel bottom-up schedule.
-func (c *nodeCache[V]) uncached(root *slp.Node) (levels [][]*slp.Node, reused int) {
 	seen := map[*slp.Node]bool{}
 	var visit func(n *slp.Node)
 	visit = func(n *slp.Node) {
@@ -339,66 +316,18 @@ func (c *nodeCache[V]) uncached(root *slp.Node) (levels [][]*slp.Node, reused in
 		}
 		seen[n] = true
 		if c.has(n) {
-			reused++
+			st.Reused++
 			return
 		}
 		visit(n.Left())
 		visit(n.Right())
-		o := int(n.Order())
-		for len(levels) <= o {
-			levels = append(levels, nil)
-		}
-		levels[o] = append(levels[o], n)
+		compute(n)
+		st.Recomputed++
 	}
-	visit(root)
-	return levels, reused
-}
-
-// warmParallel computes per-node data for all uncached tabled nodes of
-// root bottom-up, fanning each order-level out over workers. Each worker
-// calls worker once for its compute function, which must derive n's data
-// from its children's (already cached) data and store it.
-func (c *nodeCache[V]) warmParallel(root *slp.Node, workers int, worker func() func(*slp.Node)) {
-	levels, _ := c.uncached(root)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var seq func(*slp.Node)
-	for _, level := range levels {
-		if len(level) == 0 {
-			continue
-		}
-		if workers == 1 || len(level) == 1 {
-			if seq == nil {
-				seq = worker()
-			}
-			for _, n := range level {
-				seq(n)
-			}
-			continue
-		}
-		var wg sync.WaitGroup
-		ch := make(chan *slp.Node, len(level))
-		for _, n := range level {
-			ch <- n
-		}
-		close(ch)
-		w := workers
-		if w > len(level) {
-			w = len(level)
-		}
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func() {
-				defer wg.Done()
-				compute := worker()
-				for n := range ch {
-					compute(n)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	visit(newRoot)
+	warmRecomputedTotal.Add(uint64(st.Recomputed))
+	warmReusedTotal.Add(uint64(st.Reused))
+	return st
 }
 
 // Elements. An Index's per-node value (P, E, E⁺) depends on a node's

@@ -3,6 +3,7 @@ package slpmatch
 import (
 	"fmt"
 	"math/big"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -78,32 +79,49 @@ func TestSharedMatcherAndCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestWarmParallelMatchesSequential(t *testing.T) {
-	d := spannerDEVA(t, ".*!x{(a|b)+}.*")
-	root := slp.Balance(slp.Compress([]byte("abbaabbbabababba")))
-	seq := NewIndex(d)
-	seq.Warm(root)
-	wantCount := seq.Count(root)
-	wantNodes := seq.CachedNodes()
+// TestConcurrentWarmMatchesSequential warms one shared Index from 4
+// goroutines at once, on the log corpus and on a 128-byte membership
+// document: the table ends up with every tabled node, and the count,
+// the element table and membership equal a sequentially warmed Index's.
+func TestConcurrentWarmMatchesSequential(t *testing.T) {
+	type doc struct {
+		name string
+		mk   func() *Index
+		root *slp.Node
+	}
+	var docs []doc
+	logRoot := compressedLog(rand.New(rand.NewSource(1)), 8, 16<<10, 16)
+	for _, q := range logQueries {
+		docs = append(docs, doc{q.name, func() *Index { return logIndex(t, q.src) }, logRoot})
+	}
+	ab := slp.Balance(slp.Compress([]byte(strings.Repeat("abbaabbbabababba", 8))))
+	docs = append(docs, doc{"(a|b)*", func() *Index { return NewIndex(spannerDEVA(t, "(a|b)*")) }, ab})
 
-	par := NewIndex(d)
-	par.WarmParallel(root, 4)
-	if got := par.CachedNodes(); got != wantNodes {
-		t.Errorf("WarmParallel cached %d nodes, sequential %d", got, wantNodes)
-	}
-	if got := par.Count(root); got != wantCount {
-		t.Errorf("Count after WarmParallel = %d, want %d", got, wantCount)
-	}
-
-	// Membership on a document long enough to have tables.
-	doc := slp.Balance(slp.Compress([]byte(strings.Repeat("abbaabbbabababba", 8))))
-	m := NewIndex(spannerDEVA(t, "(a|b)*"))
-	m.WarmParallel(doc, 4)
-	if got, want := m.CachedNodes(), TabledNodes(doc); got != want {
-		t.Errorf("WarmParallel cached %d nodes, want %d", got, want)
-	}
-	if !m.NonEmpty(doc) {
-		t.Error("NonEmpty after WarmParallel = false")
+	for _, c := range docs {
+		seq := c.mk()
+		seq.Warm(c.root)
+		par := c.mk()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				par.Warm(c.root)
+			}()
+		}
+		wg.Wait()
+		if got, want := par.CachedNodes(), TabledNodes(c.root); got != want {
+			t.Errorf("%s: concurrent warm cached %d nodes, want %d", c.name, got, want)
+		}
+		if got, want := par.Elements(), seq.Elements(); got != want {
+			t.Errorf("%s: concurrent warm interned %d elements, sequential %d", c.name, got, want)
+		}
+		if got, want := par.NonEmpty(c.root), seq.NonEmpty(c.root); got != want {
+			t.Errorf("%s: NonEmpty after concurrent warm = %v, sequential %v", c.name, got, want)
+		}
+		if got, want := par.Count(c.root), seq.Count(c.root); got != want {
+			t.Errorf("%s: Count after concurrent warm = %d, sequential %d", c.name, got, want)
+		}
 	}
 }
 

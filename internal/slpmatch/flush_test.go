@@ -61,7 +61,7 @@ func TestFlushWhileInUse(t *testing.T) {
 				if got := ct.Count(docs[j]); got.Cmp(big.NewInt(int64(want[j]))) != 0 {
 					errs <- fmt.Errorf("goroutine %d: exact Count(doc %d) = %v, want %d", g, j, got, want[j])
 				}
-				ix.WarmParallel(docs[j], 2)
+				ix.Warm(docs[j])
 			}
 		}(g)
 	}

@@ -99,10 +99,9 @@ func (ix *Index) elems() *elemTable {
 // last-write-wins is harmless.
 func (ix *Index) node(n *slp.Node) *nodeData { return (&builder{ix: ix}).node(n) }
 
-// builder computes long nodes' data for one caller — a Warm, a
-// WarmDelta, one WarmParallel worker — with scratch of its own,
-// allocated at first use, so concurrent callers share nothing but the
-// tables. It reads the element table once, at its first build, so a
+// builder computes long nodes' data for one caller — a Warm or a
+// WarmDelta — with scratch of its own, allocated at first use, so
+// concurrent callers share nothing but the tables. It reads the element table once, at its first build, so a
 // Flush racing it leaves it on the old table, whose values are as good.
 type builder struct {
 	ix   *Index
@@ -332,16 +331,6 @@ func (ix *Index) Warm(root *slp.Node) {
 	if long(root) {
 		ix.node(root)
 	}
-}
-
-// WarmParallel is Warm with the uncached nodes of each SLP DAG level
-// fanned out over workers goroutines (GOMAXPROCS if workers ≤ 0); nodes
-// of equal order are independent, so the schedule is race-free.
-func (ix *Index) WarmParallel(root *slp.Node, workers int) {
-	ix.nodes.warmParallel(root, workers, func() func(*slp.Node) {
-		b := &builder{ix: ix}
-		return func(n *slp.Node) { ix.nodes.put(n, b.build(n)) }
-	})
 }
 
 // CachedNodes reports the number of SLP nodes longer than blockLen with

@@ -104,7 +104,7 @@ func TestWarmDeltaSpineIsLogarithmic(t *testing.T) {
 			doc[i] = "ab"[rng.Intn(2)]
 		}
 		root := slp.FromBytes(doc) // balanced, 2n−1 nodes, order ~log n
-		ix.WarmParallel(root, 0)
+		ix.Warm(root)
 		inner := longNodes(root)
 
 		logN := math.Log2(float64(n))
@@ -244,7 +244,7 @@ func BenchmarkWarmDeltaEdit(b *testing.B) {
 		doc[i] = "ab"[rng.Intn(2)]
 	}
 	root := slp.FromBytes(doc)
-	ix.WarmParallel(root, 0)
+	ix.Warm(root)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		old := root
